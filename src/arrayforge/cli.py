@@ -1,12 +1,16 @@
 """Command-line front end: design, evaluate-scf, evaluate-crb, sweep.
 
+Every option is declared once, as a row of ``OPTIONS``: the row names the
+flag and the config-file key, coerces the value, and holds the default.
 Option precedence is flags over config-file values over built-in defaults
 (the seed additionally falls back to the ARRAYFORGE_SEED environment
-variable before the default).  Every resolved value, defaults included,
-is echoed into the provenance block of the artifacts it produced.
+variable before the default).  Flag strings and config JSON values go
+through the same coercer, and every coerced value, defaults included, is
+echoed into the provenance block of the artifacts it produced, except
+``--jobs``, which results do not depend on.
 
 Exit status: 0 on success, 2 for validation failures (unknown flags,
-out-of-range values, missing files), 1 for runtime failures.
+malformed or out-of-range values, missing files), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ._version import __version__
 from .array_model import ArrayGeometry, load_geometry, make_suca
 from .fileio import atomic_write_csv, atomic_write_json, load_json
 from .harness import (
     DEFAULT_SEPARATION,
-    SWEEP_METHODS,
     SweepSpec,
     channels_for_rate,
     run_crb_experiment,
@@ -34,7 +38,7 @@ from .harness import (
 from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
 from .sgd_designer import DesignTrace, OptimizerConfig, design
 
-__all__ = ["CliConfig", "parse_and_validate", "run", "main", "console_main"]
+__all__ = ["CliConfig", "OPTIONS", "parse_and_validate", "run", "main", "console_main"]
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -59,48 +63,159 @@ class ConfigFileError(CliError):
     """The config file is malformed, unversioned, or has unknown keys."""
 
 
-DEFAULTS = {
-    "stacks": 3,
-    "per_stack": 11,
-    "spacing_wl": 0.5,
-    "radius_wl": 0.68,
-    "geometry": None,
-    "seed": 0,
-    "jobs": os.cpu_count() or 1,
-    "channels": None,
-    "iters": 5000,
-    "batch": 250,
-    "alpha": 1e-2,
-    "eta": 0.1,
-    "renormalize_every": 1,
-    "record_every": 1,
-    "sample_az_min": 0.0,
-    "sample_az_max": 2.0 * math.pi,
-    "sample_el_min": math.pi / 4.0,
-    "sample_el_max": 3.0 * math.pi / 4.0,
-    "grid_az": 121,
-    "grid_el": 61,
-    "az_min": -math.pi,
-    "az_max": math.pi,
-    "el_min": 0.0,
-    "el_max": math.pi,
-    "sigma2": 1.0,
-    "separation": DEFAULT_SEPARATION,
-    "method": None,
-    "phi": None,
-    "rates": [0.2, 0.4, 0.6],
-    "seeds_per_point": 5,
-    "methods": ["gaussian", "sgd"],
-    "external_phi": {},
-    "out": None,
+def _integer(value) -> int:
+    if isinstance(value, str):
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, str):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError
+    return value
+
+
+def _listed(item: Callable) -> Callable:
+    def parse(value) -> tuple:
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        if not isinstance(value, list):
+            raise TypeError
+        return tuple(item(part) for part in value)
+
+    return parse
+
+
+def _pairs(value) -> dict:
+    if isinstance(value, list):
+        value = dict(_text(item).split("=", 1) for item in value)
+    if not isinstance(value, dict):
+        raise TypeError
+    return {key: _text(path) for key, path in value.items()}
+
+
+@dataclass(frozen=True)
+class OptionType:
+    """A strict coercer for flag strings and config JSON values alike."""
+
+    description: str
+    parse: Callable
+
+
+INTEGER = OptionType("an integer", _integer)
+NUMBER = OptionType("a finite number", _number)
+TEXT = OptionType("a string", _text)
+NUMBERS = OptionType("comma-separated numbers or a JSON list of numbers", _listed(_number))
+NAMES = OptionType("comma-separated names or a JSON list of strings", _listed(_text))
+PAIRS = OptionType("repeated KEY=PATH flags or a JSON object of paths", _pairs)
+
+_REQUIRED = object()
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: flag ``--name`` (``-`` for ``_``) and config key ``name``.
+
+    ``bound`` is a ``(predicate, description)`` pair for single-option
+    bounds that no library constructor checks; cross-field checks belong
+    to the library objects built from the options.
+    """
+
+    name: str
+    type: OptionType
+    default: object
+    commands: tuple
+    help: str
+    bound: tuple | None = None
+
+    @property
+    def flag(self) -> str:
+        return _flag(self.name)
+
+    def coerce(self, value, source: str):
+        try:
+            result = self.type.parse(value)
+        except (TypeError, ValueError):
+            raise OptionValueError(f"{source} must be {self.type.description}, got {value!r}") from None
+        if self.bound is not None and not self.bound[0](result):
+            raise OptionValueError(f"{source} must be {self.bound[1]}, got {result!r}")
+        return result
+
+
+COMMANDS = {
+    "design": "run one SGD design",
+    "evaluate-scf": "grid SCF error of one combining matrix",
+    "evaluate-crb": "CRB maps for named combining matrices",
+    "sweep": "SCF error vs compression rate",
 }
+_ALL = tuple(COMMANDS)
+_GRID = ("evaluate-scf", "evaluate-crb", "sweep")
+_OPTIMIZER = ("design", "sweep")
+_POSITIVE = (lambda v: v > 0.0, "positive")
+
+OPTIONS = (
+    Option("geometry", TEXT, None, _ALL, "geometry JSON file (excludes the SUCA options)"),
+    Option("stacks", INTEGER, 3, _ALL, "SUCA stack count"),
+    Option("per_stack", INTEGER, 11, _ALL, "SUCA elements per stack"),
+    Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths"),
+    Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
+    Option("seed", INTEGER, 0, _ALL, f"random seed (falls back to {SEED_ENV_VAR})", (lambda v: v >= 0, ">= 0")),
+    # Only bounds parallelism; results do not depend on it, so it is not recorded.
+    Option("jobs", INTEGER, os.cpu_count() or 1, _ALL, "worker threads", (lambda v: v >= 1, ">= 1")),
+    Option("out", TEXT, _REQUIRED, _ALL, "output file or directory"),
+    Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
+    Option("iters", INTEGER, 5000, _OPTIMIZER, "SGD iterations"),
+    Option("batch", INTEGER, 250, _OPTIMIZER, "directions per SGD batch"),
+    Option("alpha", NUMBER, 1e-2, _OPTIMIZER, "SGD step size"),
+    Option("eta", NUMBER, 0.1, _OPTIMIZER, "momentum drag", (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+    Option("renormalize_every", INTEGER, 1, _OPTIMIZER, "column renormalization period"),
+    Option("record_every", INTEGER, 1, _OPTIMIZER, "cost recording period"),
+    Option("sample_az_min", NUMBER, 0.0, _OPTIMIZER, "lowest sampled azimuth"),
+    Option("sample_az_max", NUMBER, 2.0 * math.pi, _OPTIMIZER, "highest sampled azimuth"),
+    Option("sample_el_min", NUMBER, math.pi / 4.0, _OPTIMIZER, "lowest sampled polar elevation"),
+    Option("sample_el_max", NUMBER, 3.0 * math.pi / 4.0, _OPTIMIZER, "highest sampled polar elevation"),
+    Option("grid_az", INTEGER, 121, _GRID, "grid azimuth count"),
+    Option("grid_el", INTEGER, 61, _GRID, "grid elevation count"),
+    Option("az_min", NUMBER, -math.pi, _GRID, "grid azimuth start"),
+    Option("az_max", NUMBER, math.pi, _GRID, "grid azimuth end"),
+    Option("el_min", NUMBER, 0.0, _GRID, "grid polar elevation start"),
+    Option("el_max", NUMBER, math.pi, _GRID, "grid polar elevation end"),
+    Option("phi", TEXT, _REQUIRED, ("evaluate-scf",), "combining matrix or design trace JSON"),
+    Option("method", TEXT, None, ("evaluate-scf",), "method label for the CSV row"),
+    Option("phi", PAIRS, {}, ("evaluate-crb",),
+           "NAME=PATH of a combining matrix JSON (repeatable); uncompressed always included"),
+    Option("sigma2", NUMBER, 1.0, ("evaluate-crb",), "noise variance", _POSITIVE),
+    Option("separation", NUMBER, DEFAULT_SEPARATION, ("evaluate-crb",), "pair separation", _POSITIVE),
+    Option("rates", NUMBERS, (0.2, 0.4, 0.6), ("sweep",), "comma-separated compression rates in (0, 1]"),
+    Option("seeds_per_point", INTEGER, 5, ("sweep",), "seeds per (method, rate)"),
+    Option("methods", NAMES, ("gaussian", "sgd"), ("sweep",), "comma-separated subset of gaussian,sgd,external"),
+    Option("external_phi", PAIRS, {}, ("sweep",), "RATE=PATH of an externally designed matrix (repeatable)"),
+)
 
 _SUCA_KEYS = ("stacks", "per_stack", "spacing_wl", "radius_wl")
 
 
 @dataclass
 class CliConfig:
-    """Fully resolved and validated invocation of one subcommand."""
+    """Fully resolved and validated invocation of one subcommand.
+
+    ``options`` holds the coerced value of every option the subcommand
+    takes except ``jobs``: the provenance echo.
+    """
 
     command: str
     geometry: ArrayGeometry
@@ -108,94 +223,44 @@ class CliConfig:
     seed: int
     jobs: int
     options: dict
+    seed_given: bool = False
     optimizer: OptimizerConfig | None = None
-    channels: int | None = None
     grid: ScfGrid | None = None
+    spec: SweepSpec | None = None
+    channels: int | None = None
     phi_path: Path | None = None
     method: str | None = None
-    seed_given: bool = False
     sigma2: float = 1.0
     separation: float = DEFAULT_SEPARATION
-    rates: tuple = ()
-    seeds_per_point: int = 1
-    methods: tuple = ()
-    external_phi: dict = field(default_factory=dict)
     phi_inputs: dict = field(default_factory=dict)
+
+    @property
+    def rates(self) -> tuple:
+        return self.spec.compression_rates
+
+    @property
+    def seeds_per_point(self) -> int:
+        return self.spec.seeds_per_point
+
+    @property
+    def methods(self) -> tuple:
+        return self.spec.methods
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--geometry", help="geometry JSON file (excludes SUCA flags)")
-    common.add_argument("--stacks", type=int)
-    common.add_argument("--per-stack", type=int, dest="per_stack")
-    common.add_argument("--spacing-wl", type=float, dest="spacing_wl")
-    common.add_argument("--radius-wl", type=float, dest="radius_wl")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--jobs", type=int)
-    common.add_argument("--out", help="output file or directory")
-
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-az", type=int, dest="grid_az")
-    grid.add_argument("--grid-el", type=int, dest="grid_el")
-    grid.add_argument("--az-min", type=float, dest="az_min")
-    grid.add_argument("--az-max", type=float, dest="az_max")
-    grid.add_argument("--el-min", type=float, dest="el_min")
-    grid.add_argument("--el-max", type=float, dest="el_max")
-
-    optimizer = argparse.ArgumentParser(add_help=False)
-    optimizer.add_argument("--iters", type=int)
-    optimizer.add_argument("--batch", type=int)
-    optimizer.add_argument("--alpha", type=float)
-    optimizer.add_argument("--eta", type=float)
-    optimizer.add_argument("--renormalize-every", type=int, dest="renormalize_every")
-    optimizer.add_argument("--record-every", type=int, dest="record_every")
-    optimizer.add_argument("--sample-az-min", type=float, dest="sample_az_min")
-    optimizer.add_argument("--sample-az-max", type=float, dest="sample_az_max")
-    optimizer.add_argument("--sample-el-min", type=float, dest="sample_el_min")
-    optimizer.add_argument("--sample-el-max", type=float, dest="sample_el_max")
-
     parser = argparse.ArgumentParser(
         prog="arrayforge",
         description="Design and evaluate analog combining matrices for compressive arrays.",
     )
     parser.add_argument("--version", action="version", version=f"arrayforge {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("design", parents=[common, optimizer], help="run one SGD design")
-    p.add_argument("--channels", type=int)
-
-    p = commands.add_parser(
-        "evaluate-scf", parents=[common, grid], help="grid SCF error of one combining matrix"
-    )
-    p.add_argument("--phi", help="combining matrix or design trace JSON")
-    p.add_argument("--method", help="method label for the CSV row")
-
-    p = commands.add_parser(
-        "evaluate-crb", parents=[common, grid], help="CRB maps for named combining matrices"
-    )
-    p.add_argument(
-        "--phi",
-        action="append",
-        metavar="NAME=PATH",
-        help="combining matrix JSON to evaluate (repeatable); uncompressed always included",
-    )
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--separation", type=float)
-
-    p = commands.add_parser(
-        "sweep", parents=[common, grid, optimizer], help="SCF error vs compression rate"
-    )
-    p.add_argument("--rates", help="comma-separated compression rates in (0, 1]")
-    p.add_argument("--seeds-per-point", type=int, dest="seeds_per_point")
-    p.add_argument("--methods", help="comma-separated subset of gaussian,sgd,external")
-    p.add_argument(
-        "--external-phi",
-        action="append",
-        dest="external_phi",
-        metavar="RATE=PATH",
-        help="externally designed matrix for one rate (repeatable)",
-    )
+    for command, text in COMMANDS.items():
+        sub = commands.add_parser(command, help=text)
+        sub.add_argument("--config", help="JSON config file (flags override it)")
+        for option in OPTIONS:
+            if command in option.commands:
+                action = "append" if option.type is PAIRS else "store"
+                sub.add_argument(option.flag, dest=option.name, action=action, help=option.help)
     return parser
 
 
@@ -213,7 +278,7 @@ def _load_config_file(path_text: str) -> dict:
         raise ConfigFileError(
             f"config file {path} must declare \"schema_version\": {CONFIG_SCHEMA_VERSION}"
         )
-    unknown = sorted(set(data) - set(DEFAULTS) - {"schema_version"})
+    unknown = sorted(set(data) - {option.name for option in OPTIONS} - {"schema_version"})
     if unknown:
         raise ConfigFileError(
             f"config file {path} has unknown keys: {', '.join(unknown)}"
@@ -221,161 +286,29 @@ def _load_config_file(path_text: str) -> dict:
     return {k: v for k, v in data.items() if k != "schema_version"}
 
 
-class _Resolver:
-    """Implements flag > config > (env for seed) > default precedence."""
+def _resolve(command: str, flags: dict, file_values: dict) -> tuple:
+    """Coerced values of the command's options and the names given explicitly.
 
-    def __init__(self, flags: dict, config: dict) -> None:
-        self.flags = flags
-        self.config = config
-        self.resolved = {}
-
-    def given(self, name: str) -> bool:
-        return self.flags.get(name) is not None or name in self.config
-
-    def get(self, name: str):
-        if self.flags.get(name) is not None:
-            value = self.flags[name]
-        elif name in self.config:
-            value = self.config[name]
-        elif name == "seed" and os.environ.get(SEED_ENV_VAR) is not None:
-            raw = os.environ[SEED_ENV_VAR]
-            try:
-                value = int(raw)
-            except ValueError:
-                raise OptionValueError(
-                    f"{SEED_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
+    Precedence: flag > config file > ARRAYFORGE_SEED (seed only) > default.
+    """
+    values, given = {}, set()
+    for option in OPTIONS:
+        if command not in option.commands:
+            continue
+        if flags.get(option.name) is not None:
+            raw, source = flags[option.name], option.flag
+        elif option.name in file_values:
+            raw, source = file_values[option.name], option.flag
+        elif option.name == "seed" and SEED_ENV_VAR in os.environ:
+            raw, source = os.environ[SEED_ENV_VAR], SEED_ENV_VAR
+        elif option.default is _REQUIRED:
+            raise OptionValueError(f"{option.flag} is required for {command}")
         else:
-            value = DEFAULTS[name]
-        self.resolved[name] = value
-        return value
-
-
-def _as_int(name: str, value, minimum=None, maximum=None) -> int:
-    try:
-        result = int(value)
-    except (TypeError, ValueError):
-        raise OptionValueError(f"--{name.replace('_', '-')} must be an integer, got {value!r}") from None
-    if minimum is not None and result < minimum:
-        raise OptionValueError(f"--{name.replace('_', '-')} must be >= {minimum}, got {result}")
-    if maximum is not None and result > maximum:
-        raise OptionValueError(f"--{name.replace('_', '-')} must be <= {maximum}, got {result}")
-    return result
-
-
-def _as_float(name: str, value, positive=False) -> float:
-    try:
-        result = float(value)
-    except (TypeError, ValueError):
-        raise OptionValueError(f"--{name.replace('_', '-')} must be a number, got {value!r}") from None
-    if not math.isfinite(result):
-        raise OptionValueError(f"--{name.replace('_', '-')} must be finite, got {result}")
-    if positive and not result > 0.0:
-        raise OptionValueError(f"--{name.replace('_', '-')} must be positive, got {result}")
-    return result
-
-
-def _as_list(value, converter):
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [value]
-    return [converter(p) for p in parts]
-
-
-def _as_mapping(name: str, value) -> dict:
-    """Normalize repeated NAME=PATH flags or a config JSON object to a dict."""
-    if value is None:
-        return {}
-    if isinstance(value, dict):
-        return {str(k): str(v) for k, v in value.items()}
-    result = {}
-    for item in value:
-        if "=" not in item:
-            raise OptionValueError(f"--{name.replace('_', '-')} expects KEY=PATH, got {item!r}")
-        key, path = item.split("=", 1)
-        result[key] = path
-    return result
-
-
-def _resolve_geometry(resolver: _Resolver) -> ArrayGeometry:
-    file_given = resolver.given("geometry")
-    suca_given = [k for k in _SUCA_KEYS if resolver.given(k)]
-    if file_given and suca_given:
-        flags = ", ".join("--" + k.replace("_", "-") for k in suca_given)
-        raise OptionValueError(
-            f"exactly one geometry source: drop {flags} or drop --geometry"
-        )
-    if file_given:
-        path = Path(resolver.get("geometry"))
-        if not path.is_file():
-            raise MissingInputError(f"geometry file not found: {path}")
-        try:
-            geometry = load_geometry(path)
-        except Exception as exc:
-            raise OptionValueError(f"could not read geometry {path}: {exc}") from None
-        for key in _SUCA_KEYS:
-            resolver.resolved[key] = None
-        return geometry
-    stacks = _as_int("stacks", resolver.get("stacks"), minimum=1)
-    per_stack = _as_int("per_stack", resolver.get("per_stack"), minimum=1)
-    spacing = _as_float("spacing_wl", resolver.get("spacing_wl"), positive=True)
-    radius = _as_float("radius_wl", resolver.get("radius_wl"))
-    if radius < 0.0:
-        raise OptionValueError(f"--radius-wl must not be negative, got {radius}")
-    resolver.resolved["geometry"] = None
-    return make_suca(stacks, per_stack, spacing, radius)
-
-
-def _resolve_grid(resolver: _Resolver) -> ScfGrid:
-    grid_az = _as_int("grid_az", resolver.get("grid_az"), minimum=2)
-    grid_el = _as_int("grid_el", resolver.get("grid_el"), minimum=2)
-    az_min = _as_float("az_min", resolver.get("az_min"))
-    az_max = _as_float("az_max", resolver.get("az_max"))
-    el_min = _as_float("el_min", resolver.get("el_min"))
-    el_max = _as_float("el_max", resolver.get("el_max"))
-    if not az_min < az_max:
-        raise OptionValueError("--az-min must be strictly below --az-max")
-    if not el_min < el_max:
-        raise OptionValueError("--el-min must be strictly below --el-max")
-    return ScfGrid(grid_az, grid_el, (az_min, az_max), (el_min, el_max))
-
-
-def _resolve_optimizer(resolver: _Resolver, seed: int) -> OptimizerConfig:
-    iters = _as_int("iters", resolver.get("iters"), minimum=0)
-    batch = _as_int("batch", resolver.get("batch"), minimum=1)
-    alpha = _as_float("alpha", resolver.get("alpha"), positive=True)
-    eta = _as_float("eta", resolver.get("eta"))
-    if not 0.0 <= eta < 1.0:
-        raise OptionValueError(f"--eta must be in [0, 1); got {eta}")
-    renorm = _as_int("renormalize_every", resolver.get("renormalize_every"), minimum=1)
-    record = _as_int("record_every", resolver.get("record_every"), minimum=1)
-    az_lo = _as_float("sample_az_min", resolver.get("sample_az_min"))
-    az_hi = _as_float("sample_az_max", resolver.get("sample_az_max"))
-    el_lo = _as_float("sample_el_min", resolver.get("sample_el_min"))
-    el_hi = _as_float("sample_el_max", resolver.get("sample_el_max"))
-    if az_lo > az_hi or el_lo > el_hi:
-        raise OptionValueError("sampling ranges must satisfy min <= max")
-    return OptimizerConfig(
-        iterations=iters,
-        batch_size=batch,
-        step_size=alpha,
-        drag=eta,
-        azimuth_range=(az_lo, az_hi),
-        elevation_range=(el_lo, el_hi),
-        seed=seed,
-        renormalize_every=renorm,
-        record_every=record,
-    )
-
-
-def _require_out(resolver: _Resolver) -> Path:
-    out = resolver.get("out")
-    if out is None:
-        raise OptionValueError("--out is required")
-    return Path(out)
+            values[option.name] = option.default
+            continue
+        values[option.name] = option.coerce(raw, source)
+        given.add(option.name)
+    return values, given
 
 
 def _require_file(kind: str, path_text: str) -> Path:
@@ -385,100 +318,110 @@ def _require_file(kind: str, path_text: str) -> Path:
     return path
 
 
-def parse_and_validate(argv) -> CliConfig:
-    """Parse argv (plus optional config file) into a validated CliConfig."""
-    args = _build_parser().parse_args(argv)
-    flags = vars(args).copy()
-    command = flags.pop("command")
-    config_file = flags.pop("config", None)
-    file_values = _load_config_file(config_file) if config_file else {}
-    resolver = _Resolver(flags, file_values)
+def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
+    if values["geometry"] is None:
+        return make_suca(*(values[key] for key in _SUCA_KEYS))
+    suca_given = [key for key in _SUCA_KEYS if key in given]
+    if suca_given:
+        flags = ", ".join(map(_flag, suca_given))
+        raise OptionValueError(f"exactly one geometry source: drop {flags} or drop --geometry")
+    path = _require_file("geometry", values["geometry"])
+    try:
+        geometry = load_geometry(path)
+    except Exception as exc:
+        raise OptionValueError(f"could not read geometry {path}: {exc}") from None
+    for key in _SUCA_KEYS:
+        values[key] = None
+    return geometry
 
-    geometry = _resolve_geometry(resolver)
-    seed_given = resolver.given("seed") or os.environ.get(SEED_ENV_VAR) is not None
-    seed = _as_int("seed", resolver.get("seed"), minimum=0)
-    jobs = _as_int("jobs", resolver.get("jobs"), minimum=1)
-    out = _require_out(resolver)
+
+def _build(command: str, v: dict, given: set) -> CliConfig:
+    """Build the library objects from the coerced values ``v``.
+
+    The library constructors make the cross-field checks; their
+    ``ValueError`` is a validation failure.
+    """
+    geometry = _resolve_geometry(v, given)
+    jobs = v.pop("jobs")
     cfg = CliConfig(
         command=command,
         geometry=geometry,
-        out=out,
-        seed=seed,
+        out=Path(v["out"]),
+        seed=v["seed"],
         jobs=jobs,
-        options=resolver.resolved,
-        seed_given=seed_given,
+        options=v,
+        seed_given="seed" in given,
     )
-
+    if command in _GRID:
+        cfg.grid = ScfGrid(
+            v["grid_az"], v["grid_el"], (v["az_min"], v["az_max"]), (v["el_min"], v["el_max"])
+        )
+    if command in _OPTIMIZER:
+        cfg.optimizer = OptimizerConfig(
+            iterations=v["iters"],
+            batch_size=v["batch"],
+            step_size=v["alpha"],
+            drag=v["eta"],
+            azimuth_range=(v["sample_az_min"], v["sample_az_max"]),
+            elevation_range=(v["sample_el_min"], v["sample_el_max"]),
+            seed=v["seed"],
+            renormalize_every=v["renormalize_every"],
+            record_every=v["record_every"],
+        )
     if command == "design":
-        channels = resolver.get("channels")
-        if channels is None:
-            raise OptionValueError("--channels is required for design")
-        cfg.channels = _as_int("channels", channels, minimum=1, maximum=geometry.element_count)
-        cfg.optimizer = _resolve_optimizer(resolver, seed)
+        # design() checks this only when it runs, which would exit 1.
+        if not 1 <= v["channels"] <= geometry.element_count:
+            raise OptionValueError(
+                f"--channels must lie in 1..{geometry.element_count}, got {v['channels']}"
+            )
+        cfg.channels = v["channels"]
     elif command == "evaluate-scf":
-        phi = resolver.get("phi")
-        if phi is None:
-            raise OptionValueError("--phi is required for evaluate-scf")
-        cfg.phi_path = _require_file("combining matrix", phi)
-        method = resolver.get("method")
-        cfg.method = None if method is None else str(method)
-        cfg.grid = _resolve_grid(resolver)
+        cfg.phi_path = _require_file("combining matrix", v["phi"])
+        cfg.method = v["method"]
     elif command == "evaluate-crb":
-        mapping = _as_mapping("phi", resolver.get("phi"))
-        cfg.phi_inputs = {}
-        for name, path_text in mapping.items():
+        for name, path_text in v["phi"].items():
             path = _require_file("combining matrix", path_text)
-            label = name if name else path.stem
+            label = name or path.stem
             if label == "uncompressed":
                 raise OptionValueError('the label "uncompressed" is reserved')
             cfg.phi_inputs[label] = path
-        cfg.sigma2 = _as_float("sigma2", resolver.get("sigma2"), positive=True)
-        cfg.separation = _as_float("separation", resolver.get("separation"), positive=True)
-        cfg.grid = _resolve_grid(resolver)
+        cfg.sigma2 = v["sigma2"]
+        cfg.separation = v["separation"]
     elif command == "sweep":
-        try:
-            rates = _as_list(resolver.get("rates"), float)
-        except (TypeError, ValueError):
-            raise OptionValueError("--rates must be comma-separated numbers") from None
-        for rate in rates:
-            if not 0.0 < rate <= 1.0:
-                raise OptionValueError(f"compression rates must lie in (0, 1], got {rate}")
-            try:
-                channels_for_rate(rate, geometry.element_count)
-            except ValueError as exc:
-                raise OptionValueError(str(exc)) from None
-        cfg.rates = tuple(rates)
-        cfg.seeds_per_point = _as_int("seeds_per_point", resolver.get("seeds_per_point"), minimum=1)
-        methods = tuple(_as_list(resolver.get("methods"), str))
-        for method in methods:
-            if method not in SWEEP_METHODS:
-                raise OptionValueError(
-                    f"unknown method {method!r}; choose from {', '.join(SWEEP_METHODS)}"
-                )
-        cfg.methods = methods
-        external = _as_mapping("external_phi", resolver.get("external_phi"))
-        for key, path_text in external.items():
-            try:
-                float(key)
-            except ValueError:
-                raise OptionValueError(f"--external-phi keys must be rates, got {key!r}") from None
+        for path_text in v["external_phi"].values():
             _require_file("external combining matrix", path_text)
-        cfg.external_phi = external
-        cfg.grid = _resolve_grid(resolver)
-        cfg.optimizer = _resolve_optimizer(resolver, seed)
+        cfg.spec = SweepSpec(
+            compression_rates=v["rates"],
+            seeds_per_point=v["seeds_per_point"],
+            methods=v["methods"],
+            grid=cfg.grid,
+            optimizer=cfg.optimizer,
+            external_phi_paths=v["external_phi"] or None,
+        )
+        for rate in cfg.spec.compression_rates:
+            channels_for_rate(rate, geometry.element_count)
     return cfg
 
 
+def parse_and_validate(argv) -> CliConfig:
+    """Parse argv (plus optional config file) into a validated CliConfig."""
+    flags = vars(_build_parser().parse_args(argv))
+    command = flags.pop("command")
+    config_file = flags.pop("config")
+    values, given = _resolve(command, flags, _load_config_file(config_file) if config_file else {})
+    try:
+        return _build(command, values, given)
+    except ValueError as exc:
+        raise OptionValueError(str(exc)) from None
+
+
 def _provenance(config: CliConfig) -> dict:
-    options = {
-        k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(config.options.items())
-    }
     return {
         "schema_version": 1,
         "command": config.command,
         "package_version": __version__,
         "geometry": config.geometry.to_dict(),
-        "resolved_options": options,
+        "resolved_options": config.options,
     }
 
 
@@ -549,15 +492,7 @@ def _run_evaluate_crb(config: CliConfig) -> int:
 
 
 def _run_sweep(config: CliConfig) -> int:
-    spec = SweepSpec(
-        compression_rates=config.rates,
-        seeds_per_point=config.seeds_per_point,
-        methods=config.methods,
-        grid=config.grid,
-        optimizer=config.optimizer,
-        external_phi_paths=config.external_phi or None,
-    )
-    report = run_scf_sweep(config.geometry, spec, jobs=config.jobs)
+    report = run_scf_sweep(config.geometry, config.spec, jobs=config.jobs)
     report.provenance.update(_provenance(config))
     for path in write_sweep_report(report, config.out):
         _emit(path, "sweep artifact")

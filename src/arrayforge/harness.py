@@ -77,6 +77,14 @@ class SweepSpec:
         for method in self.methods:
             if method not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {method!r}; choose from {SWEEP_METHODS}")
+        for name, values in (("compression rates", self.compression_rates), ("methods", self.methods)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat, got {values}")
+        for key in self.external_phi_paths or {}:
+            try:
+                float(key)
+            except (TypeError, ValueError):
+                raise ValueError(f"external matrix keys must be rates, got {key!r}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -102,11 +110,8 @@ class ExperimentReport:
 
 def _external_path(spec: SweepSpec, rate: float):
     for key, path in (spec.external_phi_paths or {}).items():
-        try:
-            if math.isclose(float(key), rate, rel_tol=0.0, abs_tol=1e-12):
-                return path
-        except ValueError:
-            continue
+        if math.isclose(float(key), rate, rel_tol=0.0, abs_tol=1e-12):
+            return path
     return None
 
 
@@ -119,7 +124,13 @@ def _sweep_phi(geometry, spec, method, rate, channels, seed):
     path = _external_path(spec, rate)
     if path is None:
         raise FileNotFoundError(f"no external combining matrix registered for rate {rate}")
-    return CombiningMatrix.load(path)
+    phi = CombiningMatrix.load(path)
+    if (phi.rows, phi.cols) != (channels, geometry.element_count):
+        raise ValueError(
+            f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, "
+            f"expected {channels} x {geometry.element_count}"
+        )
+    return phi
 
 
 def _run_jobs(jobs, worker, parallelism):
@@ -163,8 +174,8 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     rows.sort(key=lambda r: (r["method"], r["rho"], r["seed"]))
 
     aggregates = []
-    for method in sorted(set(spec.methods)):
-        for rate in sorted(set(spec.compression_rates)):
+    for method in sorted(spec.methods):
+        for rate in sorted(spec.compression_rates):
             errors = [
                 r["scf_error"]
                 for r in rows

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -6,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arrayforge import CombiningMatrix, make_suca, save_geometry
+from arrayforge import cli
 from arrayforge.cli import main, parse_and_validate
 from oracles import random_unitary
 
@@ -110,6 +115,38 @@ class TestValidationErrors:
         assert code == 2
         assert "schema_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, values, flag",
+        [
+            ("design", {"batch": 50.9}, "--batch"),
+            ("design", {"iters": True}, "--iters"),
+            ("design", {"channels": 12.9}, "--channels"),
+            ("sweep", {"seeds_per_point": 2.7}, "--seeds-per-point"),
+            ("design", {"out": 5}, "--out"),
+            ("design", {"geometry": 3}, "--geometry"),
+            ("evaluate-scf", {"phi": {"rows": 1, "cols": 33}}, "--phi"),
+        ],
+    )
+    def test_config_values_coerced_strictly(self, tmp_path, capsys, command, values, flag):
+        base = {
+            "design": {"channels": 2, "iters": 2, "batch": 3},
+            "evaluate-scf": {},
+            "sweep": {"rates": [0.5], "methods": ["gaussian"], "seeds_per_point": 1},
+        }[command]
+        cfg = tmp_path / "config.json"
+        common = {"schema_version": 1, "out": str(tmp_path / "o"), "grid_az": 3, "grid_el": 3}
+        cfg.write_text(json.dumps({**common, **base, **values}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--rates", "0.5,0.5"], ["--methods", "gaussian,gaussian"]])
+    def test_repeated_rates_or_methods_rejected(self, tmp_path, capsys, flags):
+        code = main(
+            ["sweep", *SMALL_GEOM, *SMALL_GRID, "--seeds-per-point", "2", *flags, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "must not repeat" in capsys.readouterr().err
+
 
 class TestPrecedence:
     def test_flag_overrides_config_file(self, tmp_path):
@@ -137,6 +174,118 @@ class TestPrecedence:
         code = main(["design", *SMALL_GEOM, "--channels", "2", "--out", str(tmp_path / "t")])
         assert code == 2
         assert "ARRAYFORGE_SEED" in capsys.readouterr().err
+
+
+COMMON_DEFAULTS = {
+    "geometry": None, "stacks": 3, "per_stack": 11, "spacing_wl": 0.5, "radius_wl": 0.68, "seed": 0,
+}
+GRID_DEFAULTS = {
+    "grid_az": 121, "grid_el": 61, "az_min": -math.pi, "az_max": math.pi, "el_min": 0.0, "el_max": math.pi,
+}
+OPTIMIZER_DEFAULTS = {
+    "iters": 5000, "batch": 250, "alpha": 1e-2, "eta": 0.1, "renormalize_every": 1, "record_every": 1,
+    "sample_az_min": 0.0, "sample_az_max": 2 * math.pi,
+    "sample_el_min": math.pi / 4, "sample_el_max": 3 * math.pi / 4,
+}
+
+
+class TestCliSurface:
+    """The flags, config keys and defaults of every subcommand."""
+
+    def test_long_flags_per_subcommand(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {s for a in sub._actions for s in a.option_strings if s.startswith("--") and s != "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        common = {"--config", "--geometry", "--stacks", "--per-stack", "--spacing-wl", "--radius-wl",
+                  "--seed", "--jobs", "--out"}
+        grid = {"--grid-az", "--grid-el", "--az-min", "--az-max", "--el-min", "--el-max"}
+        optimizer = {"--iters", "--batch", "--alpha", "--eta", "--renormalize-every", "--record-every",
+                     "--sample-az-min", "--sample-az-max", "--sample-el-min", "--sample-el-max"}
+        assert flags == {
+            "design": common | optimizer | {"--channels"},
+            "evaluate-scf": common | grid | {"--phi", "--method"},
+            "evaluate-crb": common | grid | {"--phi", "--sigma2", "--separation"},
+            "sweep": common | grid | optimizer | {"--rates", "--seeds-per-point", "--methods", "--external-phi"},
+        }
+        assert [len(flags[c]) for c in ("design", "evaluate-scf", "evaluate-crb", "sweep")] == [20, 17, 18, 29]
+
+    def test_config_keys_and_recorded_defaults(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ARRAYFORGE_SEED", raising=False)
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps(CombiningMatrix(random_unitary(33, np.random.default_rng(0))).to_dict()))
+        out = str(tmp_path / "o")
+        expected = {
+            ("design", "--channels", "3"): {**COMMON_DEFAULTS, **OPTIMIZER_DEFAULTS, "channels": 3},
+            ("evaluate-scf", "--phi", str(phi_path)): {
+                **COMMON_DEFAULTS, **GRID_DEFAULTS, "phi": str(phi_path), "method": None,
+            },
+            ("evaluate-crb",): {
+                **COMMON_DEFAULTS, **GRID_DEFAULTS, "phi": {}, "sigma2": 1.0, "separation": 2 * math.pi / 10,
+            },
+            ("sweep",): {
+                **COMMON_DEFAULTS, **GRID_DEFAULTS, **OPTIMIZER_DEFAULTS, "rates": (0.2, 0.4, 0.6),
+                "seeds_per_point": 5, "methods": ("gaussian", "sgd"), "external_phi": {},
+            },
+        }
+        keys = set()
+        for argv, options in expected.items():
+            config = parse_and_validate([*argv, "--out", out])
+            assert config.options == {**options, "out": out}
+            assert config.jobs >= 1
+            keys |= set(config.options) | {"jobs"}
+        assert len(keys) == 33
+        assert keys == {option.name for option in cli.OPTIONS}
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+_VALUES = {
+    cli.INTEGER: st.integers(1, 6),
+    cli.NUMBER: st.floats(0.0, 1.0),
+    cli.NUMBERS: st.lists(st.floats(0.0, 1.0), max_size=3),
+    cli.NAMES: st.lists(st.sampled_from(["gaussian", "sgd", "external"]), max_size=3),
+    cli.TEXT: st.from_regex(r"\A[a-z]{1,6}\Z"),
+}
+
+
+def _outcome(argv):
+    """What parse_and_validate makes of argv: the error text, or the fields and provenance."""
+    try:
+        config = parse_and_validate(argv)
+    except cli.CliError as exc:
+        return "error", str(exc)
+    fields = {
+        f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "geometry"
+    }
+    return fields, config.geometry.to_dict(), cli._provenance(config)
+
+
+class TestFlagConfigEquivalence:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(list(cli.COMMANDS)), data=st.data())
+    def test_flags_and_config_give_equal_results(self, tmp_path_factory, command, data):
+        workdir = tmp_path_factory.mktemp("equivalence")
+        phi_path = workdir / "phi.json"
+        phi_path.write_text(json.dumps(CombiningMatrix(random_unitary(4, np.random.default_rng(0))).to_dict()))
+        fixed = ["--out", str(workdir / "out")]
+        if command == "evaluate-scf":
+            fixed += ["--phi", str(phi_path)]
+        values = {}
+        for option in cli.OPTIONS:
+            if command in option.commands and option.type in _VALUES and option.name not in ("geometry", "out", "phi"):
+                if data.draw(st.booleans(), label=f"give {option.name}"):
+                    values[option.name] = data.draw(_VALUES[option.type], label=option.name)
+        as_flags = [f"--{name.replace('_', '-')}={_flag_text(value)}" for name, value in values.items()]
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **values}))
+        assert _outcome([command, *fixed, *as_flags]) == _outcome([command, *fixed, "--config", str(cfg)])
 
 
 class TestDesignCommand:
@@ -272,6 +421,10 @@ class TestDeterminism:
         first = out.read_bytes()
         run_design(tmp_path)
         assert out.read_bytes() == first
+
+    def test_design_trace_does_not_depend_on_jobs(self, tmp_path):
+        traces = [run_design(tmp_path, extra=["--jobs", jobs]).read_bytes() for jobs in "12"]
+        assert traces[0] == traces[1]
 
     def test_sweep_reruns_overwrite_with_identical_bytes(self, tmp_path):
         args = [

@@ -84,6 +84,21 @@ class TestScfSweep:
         gaussian_rows = [r for r in report.rows if r["method"] == "gaussian"]
         assert all(r["status"] == "ok" for r in gaussian_rows)
 
+    def test_external_matrix_must_match_rate(self, small_geometry, tmp_path):
+        three_rows = CombiningMatrix(random_unitary(6, np.random.default_rng(0))[:3])
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(three_rows.to_dict()))
+        spec = small_spec(
+            compression_rates=(1.0,),
+            seeds_per_point=1,
+            methods=("external",),
+            external_phi_paths={"1.0": str(path)},
+        )
+        (row,) = run_scf_sweep(small_geometry, spec).rows
+        assert row["channels"] == 6
+        assert row["status"].startswith("error") and "3 x 6" in row["status"]
+        assert math.isnan(row["scf_error"])
+
     def test_aggregates_are_quartiles_of_ok_rows(self, small_geometry):
         spec = small_spec(seeds_per_point=3, methods=("gaussian",), compression_rates=(0.5,))
         report = run_scf_sweep(small_geometry, spec)
@@ -150,6 +165,18 @@ class TestSweepSpecValidation:
     def test_rejects_zero_seeds(self):
         with pytest.raises(ValueError):
             small_spec(seeds_per_point=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"compression_rates": (0.5, 1.0, 0.5)},
+            {"methods": ("gaussian", "sgd", "gaussian")},
+            {"external_phi_paths": {"half": "phi.json"}},
+        ],
+    )
+    def test_rejects_repeats_and_non_rate_external_keys(self, overrides):
+        with pytest.raises(ValueError):
+            small_spec(**overrides)
 
 
 class TestCrbExperiment:
