@@ -15,6 +15,7 @@ from .array_model import (
     make_suca,
     save_geometry,
     steering,
+    steering_angles,
     steering_batch,
     steering_derivative,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "Direction",
     "make_suca",
     "steering",
+    "steering_angles",
     "steering_batch",
     "steering_derivative",
     "load_geometry",

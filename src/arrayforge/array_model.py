@@ -27,6 +27,7 @@ __all__ = [
     "Direction",
     "make_suca",
     "steering",
+    "steering_angles",
     "steering_batch",
     "steering_derivative",
     "load_geometry",
@@ -110,19 +111,29 @@ def _propagation(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     )
 
 
-def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> np.ndarray:
-    """N x L complex matrix whose columns are steering vectors for ``directions``."""
-    if len(directions) < 1:
-        raise ValueError("need at least one direction")
-    azimuth = np.array([d.azimuth for d in directions])
-    elevation = np.array([d.elevation for d in directions])
+def steering_angles(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
+    """N x L complex matrix of steering vectors for L (azimuth, elevation) pairs.
+
+    ``azimuth`` and ``elevation`` are equal-length 1-D arrays of radians.
+    """
+    azimuth = np.asarray(azimuth, dtype=float)
+    elevation = np.asarray(elevation, dtype=float)
+    if azimuth.ndim != 1 or azimuth.shape != elevation.shape or azimuth.size < 1:
+        raise ValueError("need equal-length, nonempty 1-D azimuth and elevation arrays")
     phase = _TWO_PI * (geometry.positions @ _propagation(azimuth, elevation))
     return np.exp(1j * phase)
 
 
+def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> np.ndarray:
+    """N x L complex matrix whose columns are steering vectors for ``directions``."""
+    return steering_angles(
+        geometry, [d.azimuth for d in directions], [d.elevation for d in directions]
+    )
+
+
 def steering(geometry: ArrayGeometry, direction: Direction) -> np.ndarray:
     """Complex response of all elements to a unit plane wave from ``direction``."""
-    return steering_batch(geometry, (direction,))[:, 0]
+    return steering_angles(geometry, [direction.azimuth], [direction.elevation])[:, 0]
 
 
 def steering_derivative(geometry: ArrayGeometry, direction: Direction):

@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Direction, steering, steering_batch
+from .array_model import ArrayGeometry, Direction, steering, steering_angles
 
 __all__ = [
     "AngleBatch",
@@ -26,6 +27,13 @@ __all__ = [
     "batch_cost",
     "grid_scf_error",
 ]
+
+
+def _json_int(value, key: str) -> int:
+    """``value``, read from document key ``key``, if it is a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f'"{key}" must be an integer, got {value!r}')
+    return value
 
 
 class CombiningMatrix:
@@ -85,7 +93,7 @@ class CombiningMatrix:
                 raise ValueError(f'combining matrix document is missing "{key}"')
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
-        shape = (int(data["rows"]), int(data["cols"]))
+        shape = (_json_int(data["rows"], "rows"), _json_int(data["cols"], "cols"))
         if re.shape != shape or im.shape != shape:
             raise ValueError("re/im blocks do not match the declared rows x cols")
         return cls(re + 1j * im)
@@ -96,21 +104,40 @@ class CombiningMatrix:
             return cls.from_dict(json.load(handle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngleBatch:
-    """One batch of L sampled directions driving the stochastic objective."""
+    """One batch of L directions driving the stochastic objective.
 
-    dirs: tuple
-    batch_index: int = 0
+    ``azimuth`` and ``elevation`` are read-only float arrays of equal
+    length L >= 1, in radians.
+    """
+
+    azimuth: np.ndarray
+    elevation: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dirs", tuple(self.dirs))
-        if len(self.dirs) < 1:
+        azimuth = np.array(self.azimuth, dtype=float)
+        elevation = np.array(self.elevation, dtype=float)
+        if azimuth.ndim != 1 or azimuth.shape != elevation.shape:
+            raise ValueError("azimuth and elevation must be 1-D arrays of equal length")
+        if azimuth.size < 1:
             raise ValueError("an angle batch needs at least one direction")
+        if not (np.all(np.isfinite(azimuth)) and np.all(np.isfinite(elevation))):
+            raise ValueError("direction angles must be finite")
+        for name, angles in (("azimuth", azimuth), ("elevation", elevation)):
+            angles.setflags(write=False)
+            object.__setattr__(self, name, angles)
 
     @property
     def size(self) -> int:
-        return len(self.dirs)
+        return self.azimuth.size
+
+    @cached_property
+    def dirs(self) -> tuple:
+        """The batch as a tuple of Direction objects, for per-angle callers."""
+        return tuple(
+            Direction(float(az), float(el)) for az, el in zip(self.azimuth, self.elevation)
+        )
 
 
 @dataclass(frozen=True)
@@ -141,13 +168,17 @@ class ScfGrid:
             self.elevation_range[0], self.elevation_range[1], self.elevation_count
         )
 
+    def angles(self) -> tuple:
+        """Flat (azimuth, elevation) arrays of all grid points, azimuth-major.
+
+        Point k = i_az * elevation_count + i_el.
+        """
+        azimuth, elevation = np.meshgrid(self.azimuths(), self.elevations(), indexing="ij")
+        return azimuth.ravel(), elevation.ravel()
+
     def directions(self) -> list:
-        """All grid points, azimuth-major: index = i_az * elevation_count + i_el."""
-        return [
-            Direction(float(az), float(el))
-            for az in self.azimuths()
-            for el in self.elevations()
-        ]
+        """All grid points as Direction objects, in the order of ``angles``."""
+        return [Direction(float(az), float(el)) for az, el in zip(*self.angles())]
 
     def to_dict(self) -> dict:
         return {
@@ -164,6 +195,22 @@ def _require_compatible(geometry: ArrayGeometry, phi: CombiningMatrix) -> None:
             f"combining matrix has {phi.cols} columns but the array has "
             f"{geometry.element_count} elements"
         )
+
+
+def _gram_terms(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevation):
+    """P, P (G - I) and tr(P (G - I) P (G - I)) over the given angles.
+
+    P = A A^H is the N x N Gram matrix of the steering vectors A of the
+    angle pairs and G the Gramian of ``phi``.  The trace equals
+    ||A^H (G - I) A||_F^2, the summed squared discrepancy over all ordered
+    pairs of the angles, without forming that L x L matrix.  Steering is
+    evaluated once.
+    """
+    _require_compatible(geometry, phi)
+    a = steering_angles(geometry, azimuth, elevation)
+    p = a @ a.conj().T
+    p_gap = p @ (phi.gramian() - np.eye(geometry.element_count))
+    return p, p_gap, float(np.vdot(p_gap.conj().T, p_gap).real)
 
 
 def scf(geometry: ArrayGeometry, dir1: Direction, dir2: Direction) -> complex:
@@ -191,7 +238,7 @@ def error_e(
 def error_matrix(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -> np.ndarray:
     """L x L Hermitian matrix of pairwise correlation discrepancies over a batch."""
     _require_compatible(geometry, phi)
-    a = steering_batch(geometry, batch.dirs)
+    a = steering_angles(geometry, batch.azimuth, batch.elevation)
     b = phi.entries @ a
     return b.conj().T @ b - a.conj().T @ a
 
@@ -201,37 +248,21 @@ def batch_cost(
 ) -> float:
     """Mean over batches of the squared Frobenius discrepancy, per angle pair.
 
-    Each batch contributes ||error_matrix||_F^2 / L^2 so that values are
-    comparable across batch sizes.
+    Each batch contributes ||error_matrix||_F^2 / L^2 = tr(P (G - I) P (G - I)) / L^2,
+    so that values are comparable across batch sizes.
     """
     if len(batches) < 1:
         raise ValueError("need at least one angle batch")
     total = 0.0
     for batch in batches:
-        e = error_matrix(geometry, phi, batch)
-        total += float(np.vdot(e, e).real) / batch.size**2
+        total += _gram_terms(geometry, phi, batch.azimuth, batch.elevation)[2] / batch.size**2
     return total / len(batches)
 
 
-def grid_scf_error(
-    geometry: ArrayGeometry, phi: CombiningMatrix, grid: ScfGrid, panel_size: int = 512
-) -> float:
+def grid_scf_error(geometry: ArrayGeometry, phi: CombiningMatrix, grid: ScfGrid) -> float:
     """Sum of squared discrepancies over all ordered pairs of grid points.
 
-    The full pair matrix is never materialized: the accumulation runs over
-    column panels of at most ``panel_size`` grid points, and the panel sums
-    are combined with exact summation so the result does not depend on the
-    panel size.
+    Computed as tr(Q (G - I) Q (G - I)) with Q the N x N Gram matrix of the
+    grid's steering vectors, so the pair matrix is never formed.
     """
-    _require_compatible(geometry, phi)
-    if panel_size < 1:
-        raise ValueError("panel_size must be positive")
-    a = steering_batch(geometry, grid.directions())
-    a_h = a.conj().T
-    gap = phi.gramian() - np.eye(geometry.element_count)
-    c = gap @ a
-    panel_sums = []
-    for start in range(0, a.shape[1], panel_size):
-        panel = a_h @ c[:, start : start + panel_size]
-        panel_sums.append(float(np.vdot(panel, panel).real))
-    return math.fsum(panel_sums)
+    return _gram_terms(geometry, phi, *grid.angles())[2]

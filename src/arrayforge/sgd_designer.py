@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Direction, steering_batch
-from .scf_objective import AngleBatch, CombiningMatrix, _require_compatible, batch_cost
+from .array_model import ArrayGeometry
+from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms, _json_int
 
 __all__ = [
     "OptimizerConfig",
@@ -84,16 +84,13 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
+        integers = ("iterations", "batch_size", "seed", "renormalize_every", "record_every")
         return cls(
-            iterations=int(data["iterations"]),
-            batch_size=int(data["batch_size"]),
+            **{key: _json_int(data[key], key) for key in integers},
             step_size=float(data["step_size"]),
             drag=float(data["drag"]),
             azimuth_range=tuple(data["azimuth_range"]),
             elevation_range=tuple(data["elevation_range"]),
-            seed=int(data["seed"]),
-            renormalize_every=int(data["renormalize_every"]),
-            record_every=int(data["record_every"]),
         )
 
 
@@ -120,6 +117,10 @@ class DesignTrace:
         iterations = [i for i, _ in self.costs]
         if any(b <= a for a, b in zip(iterations, iterations[1:])):
             raise ValueError("recorded iterations must be strictly increasing")
+        if self.channels != self.final_phi.rows:
+            raise ValueError(
+                f'"channels" is {self.channels} but the final matrix has {self.final_phi.rows} rows'
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -133,39 +134,37 @@ class DesignTrace:
     @classmethod
     def from_dict(cls, data: dict) -> "DesignTrace":
         return cls(
-            costs=[(int(i), float(c)) for i, c in data["costs"]],
+            costs=[
+                (_json_int(i, f"costs[{k}][0]"), float(c))
+                for k, (i, c) in enumerate(data["costs"])
+            ],
             final_phi=CombiningMatrix.from_dict(data["phi"]),
-            channels=int(data["channels"]),
+            channels=_json_int(data["channels"], "channels"),
             config=OptimizerConfig.from_dict(data["config"]),
         )
 
 
-def gradient(
-    geometry: ArrayGeometry,
-    phi: CombiningMatrix,
-    batch: AngleBatch,
-    normalized: bool = True,
-) -> np.ndarray:
-    """Gradient of one batch's squared-error cost with respect to the weights.
+def _cost_and_gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch):
+    """One batch's cost and its gradient, from one steering evaluation.
+
+    Both are divided by L^2, so the cost is ``batch_cost`` on that batch.
+    """
+    p, p_gap, trace = _gram_terms(geometry, phi, batch.azimuth, batch.elevation)
+    scale = batch.size**2
+    return trace / scale, 4.0 * (phi.entries @ (p_gap @ p)) / scale
+
+
+def gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -> np.ndarray:
+    """Gradient of one batch's ``batch_cost`` with respect to the weights.
 
     Convention: the real part holds d/dRe and the imaginary part d/dIm of
-    the (real) cost, i.e. grad = 4 Phi P (G - I) P with P = A A^H the batch
-    steering outer product and G the Gramian of Phi.  With ``normalized``
-    the result is divided by L^2, matching ``batch_cost`` on that batch;
-    with ``normalized=False`` it is the gradient of the raw squared
-    Frobenius error.
+    the (real) cost, i.e. grad = 4 Phi P (G - I) P / L^2 with P = A A^H the
+    batch steering outer product and G the Gramian of Phi.
     """
-    _require_compatible(geometry, phi)
-    a = steering_batch(geometry, batch.dirs)
-    p = a @ a.conj().T
-    gap = phi.gramian() - np.eye(geometry.element_count)
-    grad = 4.0 * (phi.entries @ (p @ gap @ p))
-    if normalized:
-        grad = grad / batch.size**2
-    return grad
+    return _cost_and_gradient(geometry, phi, batch)[1]
 
 
-def sample_batch(config: OptimizerConfig, rng: np.random.Generator, index: int = 0) -> AngleBatch:
+def sample_batch(config: OptimizerConfig, rng: np.random.Generator) -> AngleBatch:
     """Draw one batch of directions, uniform on the configured rectangle.
 
     Consumes the generator deterministically: all azimuths first, then all
@@ -175,8 +174,7 @@ def sample_batch(config: OptimizerConfig, rng: np.random.Generator, index: int =
     elevation = rng.uniform(
         config.elevation_range[0], config.elevation_range[1], config.batch_size
     )
-    dirs = tuple(Direction(float(a), float(e)) for a, e in zip(azimuth, elevation))
-    return AngleBatch(dirs, batch_index=index)
+    return AngleBatch(azimuth, elevation)
 
 
 def random_gaussian_phi(channels: int, elements: int, seed) -> CombiningMatrix:
@@ -199,6 +197,15 @@ def initial_state(geometry: ArrayGeometry, channels: int, config: OptimizerConfi
     return OptimizerState(phi, np.zeros_like(phi.entries), 0, rng)
 
 
+def _advance(state: OptimizerState, config: OptimizerConfig, grad: np.ndarray) -> OptimizerState:
+    """One heavy-ball update of ``state`` along ``grad``, as ``step`` describes."""
+    velocity = config.drag * state.velocity - config.step_size * grad
+    phi = CombiningMatrix(state.phi.entries + velocity)
+    if state.iteration % config.renormalize_every == 0:
+        phi = phi.normalize()
+    return OptimizerState(phi, velocity, state.iteration + 1, state.rng)
+
+
 def step(
     geometry: ArrayGeometry,
     state: OptimizerState,
@@ -215,20 +222,16 @@ def step(
     if state.iteration >= config.iterations:
         raise ValueError("optimizer state is already finished")
     if batch is None:
-        batch = sample_batch(config, state.rng, index=state.iteration)
-    grad = gradient(geometry, state.phi, batch)
-    velocity = config.drag * state.velocity - config.step_size * grad
-    phi = CombiningMatrix(state.phi.entries + velocity)
-    if state.iteration % config.renormalize_every == 0:
-        phi = phi.normalize()
-    return OptimizerState(phi, velocity, state.iteration + 1, state.rng)
+        batch = sample_batch(config, state.rng)
+    return _advance(state, config, gradient(geometry, state.phi, batch))
 
 
 def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> DesignTrace:
     """Run the full seeded design loop and return its trace.
 
     Costs are recorded every ``record_every`` iterations, each measured on
-    the freshly sampled batch before the update that uses it.  The returned
+    the freshly sampled batch before the update that uses it; the cost and
+    the step come from one steering evaluation of that batch.  The returned
     matrix is always column-normalized.
     """
     if channels > geometry.element_count:
@@ -236,10 +239,10 @@ def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> D
     state = initial_state(geometry, channels, config)
     costs = []
     for i in range(config.iterations):
-        batch = sample_batch(config, state.rng, index=i)
+        cost, grad = _cost_and_gradient(geometry, state.phi, sample_batch(config, state.rng))
         if i % config.record_every == 0:
-            costs.append((i, batch_cost(geometry, state.phi, [batch])))
-        state = step(geometry, state, config, batch=batch)
+            costs.append((i, cost))
+        state = _advance(state, config, grad)
     phi = state.phi
     last = config.iterations - 1
     if config.iterations > 0 and last % config.renormalize_every != 0:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from arrayforge import (
+    AngleBatch,
     ArrayGeometry,
     CombiningMatrix,
     Direction,
@@ -137,6 +138,13 @@ def random_directions(rng, count, azimuth=(0.0, 2.0 * math.pi), elevation=(0.3, 
     az = rng.uniform(azimuth[0], azimuth[1], count)
     el = rng.uniform(elevation[0], elevation[1], count)
     return tuple(Direction(float(a), float(e)) for a, e in zip(az, el))
+
+
+def batch_of(directions):
+    """An AngleBatch holding the angles of a sequence of Direction objects."""
+    return AngleBatch(
+        [d.azimuth for d in directions], [d.elevation for d in directions]
+    )
 
 
 def max_relative_error(actual, expected, floor=1e-12):

@@ -33,7 +33,6 @@ from dataclasses import replace
 import numpy as np
 
 from arrayforge import (
-    AngleBatch,
     ArrayGeometry,
     CombiningMatrix,
     CrbScenario,
@@ -53,6 +52,7 @@ from arrayforge import (
 )
 from arrayforge.cli import main as cli_main
 from oracles import (
+    batch_of,
     finite_difference_gradient,
     max_relative_error,
     numerical_fim_crb,
@@ -80,7 +80,7 @@ def random_instance(rng, max_elements=8, max_channels=4, max_batch=6):
     geom = ArrayGeometry(rng.uniform(-1.5, 1.5, (n, 3)))
     m = int(rng.integers(1, min(n, max_channels) + 1))
     phi = random_gaussian_phi(m, n, rng)
-    batch = AngleBatch(random_directions(rng, int(rng.integers(1, max_batch + 1))))
+    batch = batch_of(random_directions(rng, int(rng.integers(1, max_batch + 1))))
     return geom, phi, batch
 
 
@@ -107,7 +107,7 @@ def test_criterion_2_oracle_equivalence():
     worst_matrix = 0.0
     for _ in range(20):
         geom, phi, batch = random_instance(rng)
-        extra = AngleBatch(random_directions(rng, batch.size), 1)
+        extra = batch_of(random_directions(rng, batch.size))
         cost = batch_cost(geom, phi, [batch, extra])
         oracle_cost = quadruple_loop_cost(geom, phi, [batch, extra])
         worst_cost = max(worst_cost, abs(cost - oracle_cost) / max(oracle_cost, 1e-30))
@@ -132,7 +132,7 @@ def test_criterion_3_trivial_zero_suite(suca33):
     for n, batch_size in ((4, 3), (6, 5), (8, 6), (33, 250)):
         geom = suca33 if n == 33 else ArrayGeometry(rng.uniform(-1.5, 1.5, (n, 3)))
         phi = CombiningMatrix(random_unitary(n, rng))
-        batch = AngleBatch(random_directions(rng, batch_size))
+        batch = batch_of(random_directions(rng, batch_size))
         worst_matrix = max(worst_matrix, float(np.max(np.abs(error_matrix(geom, phi, batch)))))
         worst_grad = max(worst_grad, float(np.max(np.abs(gradient(geom, phi, batch)))))
     grid = ScfGrid(25, 13, (-math.pi, math.pi), (0.0, math.pi))

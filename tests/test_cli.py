@@ -340,6 +340,40 @@ class TestEvaluateScfCommand:
         assert code == 1
         assert "columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("config", "seed"), 3.7, "seed"),
+            (("config", "iterations"), True, "iterations"),
+            (("config", "batch_size"), 5.0, "batch_size"),
+            (("config", "renormalize_every"), "1", "renormalize_every"),
+            (("config", "record_every"), 1.0, "record_every"),
+            (("channels",), 2.9, "channels"),
+            (("channels",), 3, "channels"),
+            (("costs", 1, 0), 1.0, "costs[1][0]"),
+            (("phi", "rows"), 2.0, "rows"),
+            (("phi", "cols"), True, "cols"),
+        ],
+        ids=[
+            "seed", "iterations", "batch_size", "renormalize_every", "record_every",
+            "channels-float", "channels-not-rows", "cost-iteration", "rows", "cols",
+        ],
+    )
+    def test_trace_integer_fields_read_strictly(self, tmp_path, capsys, path, value, key):
+        trace = run_design(tmp_path)
+        doc = json.loads(trace.read_text())
+        *parents, last = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[last] = value
+        trace.write_text(json.dumps(doc))
+        out = tmp_path / "scf.csv"
+        code = main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), "--out", str(out)])
+        assert code == 1
+        assert f'"{key}"' in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_phi_file_is_validation_error(self, tmp_path):
         code = main(["evaluate-scf", *SMALL_GEOM, "--phi", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2

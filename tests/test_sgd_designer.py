@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import arrayforge.array_model
 from arrayforge import (
-    AngleBatch,
     ArrayGeometry,
     CombiningMatrix,
     Direction,
     OptimizerConfig,
     OptimizerState,
+    ScfGrid,
     batch_cost,
     design,
     gradient,
+    grid_scf_error,
     initial_state,
     make_suca,
     random_gaussian_phi,
@@ -20,12 +24,14 @@ from arrayforge import (
     step,
 )
 from oracles import (
+    batch_of,
     finite_difference_gradient,
     max_relative_error,
     random_directions,
     random_geometry,
     random_unitary,
 )
+from strategies import geometries, scf_instances, seeds
 
 
 class TestOptimizerConfig:
@@ -52,7 +58,7 @@ class TestOptimizerConfig:
 class TestGradient:
     def test_zero_for_unitary_square_phi(self, suca33):
         phi = CombiningMatrix(random_unitary(33, np.random.default_rng(0)))
-        batch = AngleBatch(random_directions(np.random.default_rng(1), 250))
+        batch = batch_of(random_directions(np.random.default_rng(1), 250))
         grad = gradient(suca33, phi, batch)
         assert np.max(np.abs(grad)) <= 1e-12
 
@@ -63,7 +69,7 @@ class TestGradient:
             n = geom.element_count
             m = int(rng.integers(1, min(n, 4) + 1))
             phi = random_gaussian_phi(m, n, rng)
-            batch = AngleBatch(random_directions(rng, int(rng.integers(1, 7))))
+            batch = batch_of(random_directions(rng, int(rng.integers(1, 7))))
             an = gradient(geom, phi, batch)
             fd = finite_difference_gradient(geom, phi, batch)
             assert max_relative_error(fd, an) <= 1e-6
@@ -72,11 +78,19 @@ class TestGradient:
         rng = np.random.default_rng(3)
         geom = ArrayGeometry(rng.uniform(-1, 1, (5, 3)))
         phi = random_gaussian_phi(2, 5, rng)
-        batch = AngleBatch(random_directions(rng, 4))
-        an = gradient(geom, phi, batch, normalized=False)
+        batch = batch_of(random_directions(rng, 4))
+        an = gradient(geom, phi, batch) * batch.size**2
         fd = finite_difference_gradient(geom, phi, batch, normalized=False)
         assert max_relative_error(fd, an) <= 1e-6
-        assert np.allclose(an, gradient(geom, phi, batch) * batch.size**2, rtol=1e-12)
+
+    @settings(deadline=None)
+    @given(instance=scf_instances(), seed=seeds)
+    def test_unitary_mixing_rotates_the_gradient(self, instance, seed):
+        geom, phi, batch = instance
+        u = random_unitary(phi.rows, np.random.default_rng(seed))
+        mixed = gradient(geom, CombiningMatrix(u @ phi.entries), batch)
+        rotated = u @ gradient(geom, phi, batch)
+        assert np.max(np.abs(mixed - rotated)) <= 1e-10 * max(1.0, np.max(np.abs(rotated)))
 
     def test_scalar_instance_closed_form(self):
         # one element, one channel, one angle: cost (p^2-1)^2, gradient 4p(p^2-1)
@@ -84,14 +98,14 @@ class TestGradient:
         d = Direction(0.4, 1.3)
         for p in (0.5, 1.0, 1.7):
             phi = CombiningMatrix(np.array([[p + 0.0j]]))
-            cost = batch_cost(geom, phi, [AngleBatch((d,))])
-            grad = gradient(geom, phi, AngleBatch((d,)))
+            cost = batch_cost(geom, phi, [batch_of((d,))])
+            grad = gradient(geom, phi, batch_of((d,)))
             assert cost == pytest.approx((p**2 - 1.0) ** 2, abs=1e-12)
             assert grad[0, 0] == pytest.approx(4.0 * p * (p**2 - 1.0), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, suca33):
         phi = CombiningMatrix(np.ones((2, 4)))
-        batch = AngleBatch((Direction(0.0, 1.0),))
+        batch = batch_of((Direction(0.0, 1.0),))
         with pytest.raises(ValueError):
             gradient(suca33, phi, batch)
 
@@ -101,13 +115,20 @@ class TestSampleBatch:
         config = OptimizerConfig(batch_size=20, seed=9)
         b1 = sample_batch(config, np.random.default_rng(9))
         b2 = sample_batch(config, np.random.default_rng(9))
-        assert b1.dirs == b2.dirs
+        assert np.array_equal(b1.azimuth, b2.azimuth)
+        assert np.array_equal(b1.elevation, b2.elevation)
+
+    def test_draws_all_azimuths_then_all_elevations(self):
+        config = OptimizerConfig(batch_size=7, seed=2)
+        batch = sample_batch(config, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        assert np.array_equal(batch.azimuth, rng.uniform(*config.azimuth_range, 7))
+        assert np.array_equal(batch.elevation, rng.uniform(*config.elevation_range, 7))
 
     def test_empirical_means_match_uniform_law(self):
         config = OptimizerConfig(batch_size=100_000, seed=0)
         batch = sample_batch(config, np.random.default_rng(0))
-        az = np.array([d.azimuth for d in batch.dirs])
-        el = np.array([d.elevation for d in batch.dirs])
+        az, el = batch.azimuth, batch.elevation
         n = az.size
         az_bound = 3.0 * (2.0 * math.pi / math.sqrt(12.0)) / math.sqrt(n)
         el_bound = 3.0 * ((math.pi / 2.0) / math.sqrt(12.0)) / math.sqrt(n)
@@ -117,7 +138,7 @@ class TestSampleBatch:
     def test_degenerate_range_pins_angles(self):
         config = OptimizerConfig(batch_size=10, azimuth_range=(1.0, 1.0), elevation_range=(0.5, 0.5))
         batch = sample_batch(config, np.random.default_rng(1))
-        assert all(d == Direction(1.0, 0.5) for d in batch.dirs)
+        assert np.all(batch.azimuth == 1.0) and np.all(batch.elevation == 0.5)
 
 
 class TestStep:
@@ -134,7 +155,7 @@ class TestStep:
         geom = ArrayGeometry(rng.uniform(-1, 1, (6, 3)))
         phi = random_gaussian_phi(3, 6, rng)
         config = OptimizerConfig(iterations=1, batch_size=5, step_size=1e-3, drag=0.0, seed=5)
-        batch = AngleBatch(random_directions(rng, 5))
+        batch = batch_of(random_directions(rng, 5))
         state = OptimizerState(phi, np.zeros_like(phi.entries), 0, np.random.default_rng(5))
         after = step(geom, state, config, batch=batch)
         manual = CombiningMatrix(
@@ -147,8 +168,8 @@ class TestStep:
         geom = ArrayGeometry(rng.uniform(-1, 1, (5, 3)))
         phi0 = random_gaussian_phi(2, 5, rng)
         config = OptimizerConfig(iterations=2, batch_size=4, step_size=1e-3, drag=0.5, seed=6)
-        b0 = AngleBatch(random_directions(rng, 4), 0)
-        b1 = AngleBatch(random_directions(rng, 4), 1)
+        b0 = batch_of(random_directions(rng, 4))
+        b1 = batch_of(random_directions(rng, 4))
 
         state = OptimizerState(phi0, np.zeros_like(phi0.entries), 0, np.random.default_rng(6))
         state = step(geom, state, config, batch=b0)
@@ -175,7 +196,7 @@ class TestStep:
             n = geom.element_count
             m = int(rng.integers(1, min(n, 4) + 1))
             phi = random_gaussian_phi(m, n, rng)
-            batch = AngleBatch(random_directions(rng, int(rng.integers(1, 7))))
+            batch = batch_of(random_directions(rng, int(rng.integers(1, 7))))
             before = batch_cost(geom, phi, [batch])
             grad = gradient(geom, phi, batch)
             alpha = 1e-4
@@ -258,6 +279,28 @@ class TestDesign:
             trace = design(geom, 2, config)
             assert trace.final_phi.is_column_normalized(1e-10)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        geom=geometries(),
+        data=st.data(),
+        batch_size=st.integers(1, 8),
+        iterations=st.integers(1, 5),
+        seed=seeds,
+    )
+    def test_recorded_cost_is_batch_cost_of_the_drawn_batch(
+        self, geom, data, batch_size, iterations, seed
+    ):
+        channels = data.draw(st.integers(1, geom.element_count))
+        config = OptimizerConfig(iterations=iterations, batch_size=batch_size, seed=seed)
+        trace = design(geom, channels, config)
+        state = initial_state(geom, channels, config)
+        expected = []
+        while state.iteration < iterations:
+            batch = sample_batch(config, state.rng)
+            expected.append((state.iteration, batch_cost(geom, state.phi, [batch])))
+            state = step(geom, state, config, batch=batch)
+        assert trace.costs == expected
+
     def test_trace_dict_roundtrip(self):
         geom = make_suca(1, 4, 0.5, 0.3)
         config = OptimizerConfig(iterations=4, batch_size=3, seed=7)
@@ -267,3 +310,38 @@ class TestDesign:
         assert again.costs == trace.costs
         assert np.array_equal(again.final_phi.entries, trace.final_phi.entries)
         assert again.config == trace.config
+
+
+class TestHotPaths:
+    """The SGD and grid paths work on angle arrays, one steering call per batch."""
+
+    def test_design_evaluates_steering_once_per_iteration(self, monkeypatch):
+        # every steering evaluation, whatever its entry point, computes the
+        # propagation vectors once
+        calls = []
+        real = arrayforge.array_model._propagation
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arrayforge.array_model, "_propagation", counting)
+        config = OptimizerConfig(iterations=7, batch_size=4, seed=3, record_every=1)
+        trace = design(make_suca(1, 5, 0.5, 0.4), 2, config)
+        assert len(trace.costs) == 7
+        assert len(calls) == 7
+
+    def test_no_direction_objects_built(self, suca33, monkeypatch):
+        config = OptimizerConfig(iterations=3, batch_size=20, seed=1)
+        phi = random_gaussian_phi(13, 33, 1)
+        grid = ScfGrid(9, 5, (-math.pi, math.pi), (0.0, math.pi))
+
+        def refuse(self):
+            raise AssertionError("a Direction object was built")
+
+        monkeypatch.setattr(Direction, "__post_init__", refuse)
+        batch = sample_batch(config, np.random.default_rng(1))
+        assert batch_cost(suca33, phi, [batch]) > 0.0
+        assert np.all(np.isfinite(gradient(suca33, phi, batch)))
+        assert grid_scf_error(suca33, phi, grid) > 0.0
+        assert len(design(suca33, 13, config).costs) == 3
