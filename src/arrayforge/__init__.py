@@ -18,6 +18,7 @@ from .array_model import (
     steering_angles,
     steering_batch,
     steering_derivative,
+    steering_derivative_angles,
 )
 from .crb_eval import (
     CrbMap,
@@ -71,6 +72,7 @@ __all__ = [
     "steering_angles",
     "steering_batch",
     "steering_derivative",
+    "steering_derivative_angles",
     "load_geometry",
     "save_geometry",
     "AngleBatch",

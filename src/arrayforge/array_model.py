@@ -30,6 +30,7 @@ __all__ = [
     "steering_angles",
     "steering_batch",
     "steering_derivative",
+    "steering_derivative_angles",
     "load_geometry",
     "save_geometry",
 ]
@@ -136,16 +137,23 @@ def steering(geometry: ArrayGeometry, direction: Direction) -> np.ndarray:
     return steering_angles(geometry, [direction.azimuth], [direction.elevation])[:, 0]
 
 
+def steering_derivative_angles(geometry: ArrayGeometry, azimuth, elevation):
+    """``steering_angles`` A and its (d A / d azimuth, d A / d elevation), each N x L.
+
+    A is evaluated once; each derivative scales it by its phase derivative.
+    """
+    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
+    a = steering_angles(geometry, az, el)
+    du_daz = np.stack([-np.sin(az) * np.sin(el), np.cos(az) * np.sin(el), np.zeros_like(az)])
+    du_del = np.stack([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), -np.sin(el)])
+    factor = 1j * _TWO_PI
+    return a, factor * (geometry.positions @ du_daz) * a, factor * (geometry.positions @ du_del) * a
+
+
 def steering_derivative(geometry: ArrayGeometry, direction: Direction):
     """Analytic (d a / d azimuth, d a / d elevation) at ``direction``."""
-    az, el = direction.azimuth, direction.elevation
-    a = steering(geometry, direction)
-    du_daz = np.array([-math.sin(az) * math.sin(el), math.cos(az) * math.sin(el), 0.0])
-    du_del = np.array([math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), -math.sin(el)])
-    factor = 1j * _TWO_PI
-    d_az = factor * (geometry.positions @ du_daz) * a
-    d_el = factor * (geometry.positions @ du_del) * a
-    return d_az, d_el
+    _, d_az, d_el = steering_derivative_angles(geometry, [direction.azimuth], [direction.elevation])
+    return d_az[:, 0], d_el[:, 0]
 
 
 def load_geometry(path) -> ArrayGeometry:

@@ -174,8 +174,8 @@ OPTIONS = (
     Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths"),
     Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
     Option("seed", INTEGER, 0, _ALL, f"random seed (falls back to {SEED_ENV_VAR})", (lambda v: v >= 0, ">= 0")),
-    # Only bounds parallelism; results do not depend on it, so it is not recorded.
-    Option("jobs", INTEGER, os.cpu_count() or 1, _ALL, "worker threads", (lambda v: v >= 1, ">= 1")),
+    # Only sweep runs jobs in parallel; results do not depend on it, so it is not recorded.
+    Option("jobs", INTEGER, os.cpu_count() or 1, _ALL, "sweep worker threads", (lambda v: v >= 1, ">= 1")),
     Option("out", TEXT, _REQUIRED, _ALL, "output file or directory"),
     Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
     Option("iters", INTEGER, 5000, _OPTIMIZER, "SGD iterations"),
@@ -478,12 +478,7 @@ def _run_evaluate_scf(config: CliConfig) -> int:
 def _run_evaluate_crb(config: CliConfig) -> int:
     phis = {name: _load_phi_document(path)[0] for name, path in config.phi_inputs.items()}
     report = run_crb_experiment(
-        config.geometry,
-        phis,
-        config.grid,
-        noise_variance=config.sigma2,
-        separation=config.separation,
-        jobs=config.jobs,
+        config.geometry, phis, config.grid, noise_variance=config.sigma2, separation=config.separation
     )
     report.provenance.update(_provenance(config))
     for path in write_crb_report(report, config.out):

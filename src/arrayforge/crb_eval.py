@@ -1,15 +1,15 @@
 """Deterministic Cramer-Rao bound for 2D direction estimation under compression.
 
 For S deterministic sources observed in one snapshot through a combining
-network, the bound on the summed direction variances is
+network, the bound on the summed direction variances is sigma^2 / 2 times
+the trace of the inverse concentrated Fisher information (Stoica & Nehorai 1989)
 
-    C = sigma^2 / 2 * trace( [ Re( D^H P D  .*  (1_{2x2} kron R)^T ) ]^{-1} )
+    F = Re( (D^H D - D^H G (G^H G)^{-1} G^H D)  .*  (1_{2x2} kron R)^T )
 
 where G stacks the compressed source steering vectors, D their azimuth and
-elevation derivatives (azimuth block first), P is the projector onto the
-orthogonal complement of range(G), and R = x x^H is the rank-one sample
-covariance of the source amplitudes.  Noise is white with variance sigma^2
-at the compressed outputs; no whitening by the combining network is applied.
+elevation derivatives (azimuth block first), and R = x x^H is the rank-one
+sample covariance of the source amplitudes.  Noise is white with variance
+sigma^2 at the compressed outputs.  ``crb`` and ``crb_map`` call one batched routine.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Direction, steering, steering_derivative
+from .array_model import ArrayGeometry, steering_derivative_angles
 from .fileio import atomic_write_csv, atomic_write_json
-from .scf_objective import CombiningMatrix, ScfGrid
+from .scf_objective import CombiningMatrix, ScfGrid, _require_compatible
 
 __all__ = [
     "CONDITION_LIMIT",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 CONDITION_LIMIT = 1e12
+# F holds round-off only when lambda_max(F) is at most this times its bound ||D||_F^2 ||x||^2.
+_INFORMATION_FLOOR = 1e-12
 
 _MAP_KINDS = ("single", "azimuth-pair", "elevation-pair")
 
@@ -87,50 +89,70 @@ class CrbResult:
     fim_condition: float
 
 
+def _condition(eig: np.ndarray) -> np.ndarray:
+    """Largest over smallest of each row of ascending eigenvalues; inf unless positive."""
+    return np.divide(eig[:, -1], eig[:, 0], out=np.full(len(eig), math.inf), where=eig[:, 0] > 0.0)
+
+
 def orthogonal_complement_projector(columns: np.ndarray) -> np.ndarray:
     """I - G (G^H G)^{-1} G^H for a full-column-rank matrix G."""
     g = np.asarray(columns, dtype=complex)
     gram = g.conj().T @ g
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > CONDITION_LIMIT:
-        condition = math.inf if eig[0] <= 0.0 else float(eig[-1] / eig[0])
+    condition = float(_condition(np.linalg.eigvalsh(gram)[None])[0])
+    if condition > CONDITION_LIMIT:
         raise RankDeficientSteeringError(
             f"source steering matrix is rank deficient (condition {condition:.3e})"
         )
     return np.eye(g.shape[0]) - g @ np.linalg.solve(gram, g.conj().T)
 
 
-def _source_matrices(geometry: ArrayGeometry, sources, phi: CombiningMatrix | None):
-    """Compressed steering matrix G (M x S) and derivative matrix D (M x 2S)."""
-    a = np.column_stack([steering(geometry, d) for d in sources])
-    derivs = [steering_derivative(geometry, d) for d in sources]
-    d = np.column_stack([pair[0] for pair in derivs] + [pair[1] for pair in derivs])
-    if phi is None:
-        return a, d
-    if phi.cols != geometry.element_count:
-        raise ValueError(
-            f"combining matrix has {phi.cols} columns but the array has "
-            f"{geometry.element_count} elements"
-        )
-    return phi.entries @ a, phi.entries @ d
+def _crb_batch(geometry, phi: CombiningMatrix | None, azimuth, elevation, amplitudes, noise_variance):
+    """Bounds of K scenarios whose S sources sit at K x S angle arrays.
+
+    All K scenarios share the S ``amplitudes``.  Returns the values
+    sigma^2 / 2 tr(F^{-1}) (NaN where flagged), the FIM conditions, and the
+    disjoint rank-deficient and unidentifiable masks, each of length K.
+    """
+    k, s = azimuth.shape
+    steer = steering_derivative_angles(geometry, azimuth.ravel(), elevation.ravel())
+    # Each N x KS matrix becomes K x N x S; D puts the azimuth block first.
+    g, d_az, d_el = (m.reshape(-1, k, s).swapaxes(0, 1) for m in steer)
+    d = np.concatenate([d_az, d_el], axis=2)
+    if phi is not None:
+        _require_compatible(geometry, phi)
+        g, d = phi.entries @ g, phi.entries @ d
+    g_h, d_h = g.conj().swapaxes(1, 2), d.conj().swapaxes(1, 2)
+    gram = g_h @ g
+    rank_deficient = _condition(np.linalg.eigvalsh(gram)) > CONDITION_LIMIT
+    # Flagged cells solve against I so that their discarded FIM stays finite.
+    gram[rank_deficient] = np.eye(s)
+    info = d_h @ d - (d_h @ g) @ np.linalg.solve(gram, g_h @ d)
+    weight = np.tile(np.outer(amplitudes, np.conj(amplitudes)), (2, 2)).T
+    eig = np.linalg.eigvalsh(np.real(info * weight))
+    condition = _condition(eig)
+    scale = np.sum(np.abs(d) ** 2, axis=(1, 2)) * np.sum(np.abs(amplitudes) ** 2)
+    unidentifiable = (condition > CONDITION_LIMIT) | (eig[:, -1] <= _INFORMATION_FLOOR * scale)
+    unidentifiable &= ~rank_deficient
+    ok = ~(rank_deficient | unidentifiable)
+    trace_inverse = np.sum(1.0 / np.where(ok[:, None], eig, 1.0), axis=1)
+    values = np.where(ok, (0.5 * trace_inverse) * noise_variance, math.nan)
+    return values, condition, rank_deficient, unidentifiable
 
 
 def crb(geometry: ArrayGeometry, scenario: CrbScenario) -> CrbResult:
-    """Trace of the deterministic single-snapshot bound for the scenario."""
-    g, d = _source_matrices(geometry, scenario.sources, scenario.phi)
-    projector = orthogonal_complement_projector(g)
-    sample_cov = np.outer(scenario.amplitudes, scenario.amplitudes.conj())
-    # Tiling matches the [azimuth block, elevation block] column layout of D.
-    weight = np.kron(np.ones((2, 2)), sample_cov).T
-    fim = np.real((d.conj().T @ projector @ d) * weight)
-    eig = np.linalg.eigvalsh(fim)
-    condition = math.inf if eig[0] <= 0.0 else float(eig[-1] / eig[0])
-    if eig[0] <= 0.0 or condition > CONDITION_LIMIT:
+    """Trace of the deterministic single-snapshot bound for the scenario: a batch of one."""
+    angles = np.array([[(d.azimuth, d.elevation) for d in scenario.sources]], dtype=float)
+    values, condition, rank_deficient, unidentifiable = _crb_batch(
+        geometry, scenario.phi, angles[..., 0], angles[..., 1],
+        scenario.amplitudes, scenario.noise_variance,
+    )
+    if rank_deficient[0]:
+        raise RankDeficientSteeringError("source steering matrix is rank deficient")
+    if unidentifiable[0]:
         raise UnidentifiableScenarioError(
-            f"scenario is unidentifiable (FIM condition {condition:.3e})", condition
+            f"scenario is unidentifiable (FIM condition {condition[0]:.3e})", float(condition[0])
         )
-    trace_inverse = float(np.sum(1.0 / eig))
-    return CrbResult((0.5 * trace_inverse) * scenario.noise_variance, condition)
+    return CrbResult(float(values[0]), float(condition[0]))
 
 
 @dataclass
@@ -156,11 +178,10 @@ class CrbMap:
 
     def log10_statistics(self) -> dict:
         """Median and sample variance of log10(C) over the valid cells."""
-        ok = self.ok_values()
-        logs = np.log10(ok) if ok.size else np.array([])
+        logs = np.log10(self.ok_values())
         return {
             "cells_total": int(self.values.size),
-            "cells_ok": int(ok.size),
+            "cells_ok": int(logs.size),
             "median_log10_crb": float(np.median(logs)) if logs.size else math.nan,
             "variance_log10_crb": float(np.var(logs, ddof=1)) if logs.size > 1 else math.nan,
         }
@@ -193,43 +214,39 @@ def crb_map(
     if scenario_kind not in _MAP_KINDS:
         raise ValueError(f"scenario_kind must be one of {_MAP_KINDS}")
     pair = scenario_kind != "single"
-    if pair and (separation is None or not separation > 0.0):
-        raise ValueError("pair scenarios need a positive separation")
-    azimuths = grid.azimuths()
-    elevations = grid.elevations()
-    values = np.full((azimuths.size, elevations.size), math.nan)
-    status = np.full((azimuths.size, elevations.size), "ok", dtype=object)
-    for i, az in enumerate(azimuths):
-        for j, el in enumerate(elevations):
-            sources = [Direction(float(az), float(el))]
-            if scenario_kind == "azimuth-pair":
-                sources.append(Direction(float((az + separation) % (2.0 * math.pi)), float(el)))
-            elif scenario_kind == "elevation-pair":
-                partner = float(el + separation)
-                if not 0.0 < partner < math.pi:
-                    status[i, j] = "absent"
-                    continue
-                sources.append(Direction(float(az), partner))
-            scenario = CrbScenario(
-                tuple(sources), np.ones(len(sources)), noise_variance, phi
-            )
-            try:
-                values[i, j] = crb(geometry, scenario).trace_value
-            except RankDeficientSteeringError:
-                status[i, j] = "rank-deficient"
-            except UnidentifiableScenarioError:
-                status[i, j] = "unidentifiable"
+    if pair and not (separation is not None and 0.0 < separation < math.inf):
+        raise ValueError("pair scenarios need a positive, finite separation")
+    if not 0.0 < noise_variance < math.inf:
+        raise ValueError("noise variance must be positive")
+    azimuth, elevation = np.meshgrid(grid.azimuths(), grid.elevations(), indexing="ij")
+    present = np.ones(grid.elevation_count, dtype=bool)
+    sources = [(azimuth, elevation)]
+    if scenario_kind == "azimuth-pair":
+        sources.append(((azimuth + separation) % (2.0 * math.pi), elevation))
+    elif scenario_kind == "elevation-pair":
+        sources.append((azimuth, elevation + separation))
+        present = (0.0 < elevation[0] + separation) & (elevation[0] + separation < math.pi)
+    source_azimuth, source_elevation = (np.stack(arrays, axis=-1) for arrays in zip(*sources))
+    values = np.full(azimuth.shape, math.nan)
+    status = np.full(azimuth.shape, "absent", dtype=object)
+    # One batch per azimuth row keeps the working set to elevation_count cells.
+    for i in range(grid.azimuth_count if present.any() else 0):
+        values[i, present], _, rank_deficient, unidentifiable = _crb_batch(
+            geometry, phi, source_azimuth[i, present], source_elevation[i, present],
+            np.ones(len(sources)), noise_variance,
+        )
+        status[i, present] = np.where(
+            rank_deficient, "rank-deficient", np.where(unidentifiable, "unidentifiable", "ok")
+        )
     return CrbMap(grid, scenario_kind, separation if pair else None, noise_variance, values, status)
 
 
 def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
     """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
-    rows = []
-    azimuths = map_.grid.azimuths()
-    elevations = map_.grid.elevations()
-    for i, az in enumerate(azimuths):
-        for j, el in enumerate(elevations):
-            rows.append([repr(float(az)), repr(float(el)), repr(float(map_.values[i, j])), map_.status[i, j]])
+    rows = [
+        [repr(float(az)), repr(float(el)), repr(float(value)), status]
+        for az, el, value, status in zip(*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
+    ]
     csv_path = atomic_write_csv(csv_path, ["azimuth", "elevation", "crb_value", "status"], rows)
     sidecar = map_.to_metadata()
     if metadata:

@@ -214,34 +214,22 @@ def run_crb_experiment(
     grid: ScfGrid,
     noise_variance: float = 1.0,
     separation: float = DEFAULT_SEPARATION,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Compute single / azimuth-pair / elevation-pair bound maps per design.
 
     ``phis`` maps a label to a CombiningMatrix; the uncompressed array is
     always included under the label "uncompressed".
     """
-    named = {"uncompressed": None}
-    for name in sorted(phis):
-        if name == "uncompressed":
-            raise ValueError('the label "uncompressed" is reserved')
-        named[name] = phis[name]
+    if "uncompressed" in phis:
+        raise ValueError('the label "uncompressed" is reserved')
 
-    job_list = [(name, kind) for name in named for kind in ("single", "azimuth-pair", "elevation-pair")]
-
-    def worker(job):
-        name, kind = job
-        sep = separation if kind != "single" else None
-        map_ = crb_map(geometry, named[name], grid, kind, sep, noise_variance)
-        return name, kind, map_
-
-    maps = _run_jobs(job_list, worker, jobs)
-    maps.sort(key=lambda item: (item[0], item[1]))
-
-    rows = []
-    for name, kind, map_ in maps:
-        stats = map_.log10_statistics()
-        rows.append({"method": name, "kind": kind, **stats})
+    maps, rows = [], []
+    for name, phi in sorted({"uncompressed": None, **phis}.items()):
+        for kind in sorted(("single", "azimuth-pair", "elevation-pair")):
+            sep = None if kind == "single" else separation
+            map_ = crb_map(geometry, phi, grid, kind, sep, noise_variance)
+            maps.append((name, kind, map_))
+            rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
 
     provenance = {
         "schema_version": 1,
@@ -251,7 +239,7 @@ def run_crb_experiment(
         "grid": grid.to_dict(),
         "noise_variance": noise_variance,
         "separation": separation,
-        "methods": list(named),
+        "methods": ["uncompressed", *sorted(phis)],
     }
     return ExperimentReport("crb", rows, [], provenance, maps=maps)
 

@@ -181,6 +181,10 @@ class TestCrbMap:
             crb_map(suca33, None, grid, "triple")
         with pytest.raises(ValueError):
             crb_map(suca33, None, grid, "azimuth-pair")
+        with pytest.raises(ValueError):
+            crb_map(suca33, None, grid, "azimuth-pair", separation=math.inf)
+        with pytest.raises(ValueError):
+            crb_map(suca33, None, grid, "single", noise_variance=0.0)
 
     def test_azimuth_pair_wraps_around(self, suca33):
         sep = 2.0 * math.pi / 10.0
@@ -196,14 +200,20 @@ class TestCrbMap:
 
     def test_elevation_pair_marks_out_of_range_cells_absent(self, suca33):
         sep = 2.0 * math.pi / 10.0
-        grid = ScfGrid(3, 4, (0.0, 1.0), (math.pi / 2, math.pi - 0.1))
-        result = crb_map(suca33, None, grid, "elevation-pair", separation=sep)
-        partners = grid.elevations() + sep
-        expected_absent = partners >= math.pi
-        for j, absent in enumerate(expected_absent):
-            statuses = set(result.status[:, j])
-            assert statuses == ({"absent"} if absent else {"ok"})
-        assert np.all(np.isnan(result.values[:, expected_absent]))
+        grids = [
+            ScfGrid(3, 4, (0.0, 1.0), (math.pi / 2, math.pi - 0.1)),
+            # source 1 on the pole: its partner exists, so the cell is flagged, not absent
+            ScfGrid(3, 5, (0.0, 1.0), (0.0, math.pi - 0.1)),
+        ]
+        for grid in grids:
+            result = crb_map(suca33, None, grid, "elevation-pair", separation=sep)
+            partners = grid.elevations() + sep
+            expected_absent = partners >= math.pi
+            for j, absent in enumerate(expected_absent):
+                statuses = set(result.status[:, j])
+                pole = grid.elevations()[j] == 0.0
+                assert statuses == ({"absent"} if absent else {"unidentifiable"} if pole else {"ok"})
+            assert np.all(np.isnan(result.values[:, expected_absent]))
 
     def test_pole_cells_are_flagged_not_dropped(self, suca33):
         grid = ScfGrid(3, 3, (0.0, 1.0), (0.0, math.pi / 2))
@@ -214,6 +224,41 @@ class TestCrbMap:
         assert stats["cells_ok"] == 6
         assert stats["cells_total"] == 9
 
+    @pytest.mark.parametrize("rows", [3, 1])
+    def test_information_at_round_off_is_unidentifiable(self, suca33, rows):
+        # every compressed output sees the same combination (3 equal rows or a
+        # single row), so the FIM is round-off that a relative condition check
+        # alone can pass as "ok"
+        phi = CombiningMatrix(np.repeat(random_gaussian_phi(1, 33, 0).entries, rows, axis=0))
+        grid = ScfGrid(9, 5, (-math.pi, math.pi), (math.pi / 4, 3 * math.pi / 4))
+        result = crb_map(suca33, phi, grid, "single")
+        assert set(result.status.ravel()) == {"unidentifiable"}
+        for az, el in zip(*grid.angles()):
+            scenario = CrbScenario((Direction(az, el),), np.ones(1), 1.0, phi)
+            with pytest.raises(UnidentifiableScenarioError):
+                crb(suca33, scenario)
+
+    @pytest.mark.parametrize("kind", ["single", "azimuth-pair", "elevation-pair"])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_cells_match_oracle_and_scalar_bound(self, suca33, kind, compressed):
+        # an uneven grid, so that a swapped azimuth/elevation or source index shows
+        sep = 2.0 * math.pi / 10.0
+        phi = random_gaussian_phi(13, 33, 11) if compressed else None
+        grid = ScfGrid(5, 4, (-2.0, 2.5), (math.pi / 4, 2.2))
+        result = crb_map(suca33, phi, grid, kind, None if kind == "single" else sep, 0.7)
+        assert np.all(result.status == "ok")
+        for i, j in [(0, 0), (1, 3), (4, 2), (3, 1)]:
+            az, el = grid.azimuths()[i], grid.elevations()[j]
+            sources = [Direction(az, el)]
+            if kind == "azimuth-pair":
+                sources.append(Direction((az + sep) % (2.0 * math.pi), el))
+            elif kind == "elevation-pair":
+                sources.append(Direction(az, el + sep))
+            scenario = CrbScenario(tuple(sources), np.ones(len(sources)), 0.7, phi)
+            value = result.values[i, j]
+            assert abs(value - numerical_fim_crb(suca33, scenario)) <= 1e-3 * value
+            assert value == pytest.approx(crb(suca33, scenario).trace_value, rel=1e-12)
+
     def test_compressed_map_runs(self, suca33):
         phi = random_gaussian_phi(13, 33, 9)
         grid = ScfGrid(4, 3, (-1.0, 1.0), (1.0, 2.0))
@@ -222,6 +267,17 @@ class TestCrbMap:
 
 
 class TestWriteCrbMap:
+    def test_rows_follow_the_grid_azimuth_major(self, tmp_path, suca33):
+        grid = ScfGrid(3, 4, (0.0, 1.0), (0.0, 2.0))
+        result = crb_map(suca33, None, grid, "single")
+        csv_path, _ = write_crb_map(result, tmp_path / "map.csv")
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        for k, (az, el, value, status) in enumerate(rows):
+            i, j = divmod(k, grid.elevation_count)
+            assert (az, el) == (repr(float(grid.azimuths()[i])), repr(float(grid.elevations()[j])))
+            assert (value, status) == (repr(float(result.values[i, j])), result.status[i, j])
+
     def test_csv_and_sidecar(self, tmp_path, suca33):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
         result = crb_map(suca33, None, grid, "single")

@@ -14,12 +14,14 @@ from arrayforge import (
     OptimizerState,
     ScfGrid,
     batch_cost,
+    crb_map,
     design,
     gradient,
     grid_scf_error,
     initial_state,
     make_suca,
     random_gaussian_phi,
+    run_crb_experiment,
     sample_batch,
     step,
 )
@@ -313,7 +315,7 @@ class TestDesign:
 
 
 class TestHotPaths:
-    """The SGD and grid paths work on angle arrays, one steering call per batch."""
+    """The SGD, grid and CRB paths work on angle arrays, one steering call per batch."""
 
     def test_design_evaluates_steering_once_per_iteration(self, monkeypatch):
         # every steering evaluation, whatever its entry point, computes the
@@ -331,6 +333,24 @@ class TestHotPaths:
         assert len(trace.costs) == 7
         assert len(calls) == 7
 
+    def test_crb_map_evaluates_steering_once_per_source_angle(self, suca33, monkeypatch):
+        angles = []
+        real = arrayforge.array_model._propagation
+
+        def counting(azimuth, elevation):
+            angles.append(np.size(azimuth))
+            return real(azimuth, elevation)
+
+        monkeypatch.setattr(arrayforge.array_model, "_propagation", counting)
+        phi = random_gaussian_phi(13, 33, 1)
+        grid = ScfGrid(9, 5, (-math.pi, math.pi), (0.0, math.pi))
+        for kind, sources in (("single", 1), ("azimuth-pair", 2), ("elevation-pair", 2)):
+            angles.clear()
+            result = crb_map(suca33, phi, grid, kind, None if kind == "single" else 0.6)
+            cells = int(np.sum(result.status != "absent"))
+            assert cells > 0
+            assert sum(angles) == cells * sources
+
     def test_no_direction_objects_built(self, suca33, monkeypatch):
         config = OptimizerConfig(iterations=3, batch_size=20, seed=1)
         phi = random_gaussian_phi(13, 33, 1)
@@ -345,3 +365,5 @@ class TestHotPaths:
         assert np.all(np.isfinite(gradient(suca33, phi, batch)))
         assert grid_scf_error(suca33, phi, grid) > 0.0
         assert len(design(suca33, 13, config).costs) == 3
+        assert crb_map(suca33, phi, grid, "azimuth-pair", 0.6).status.size == grid.point_count
+        assert len(run_crb_experiment(suca33, {"gaussian": phi}, grid).maps) == 6
