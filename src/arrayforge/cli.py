@@ -29,14 +29,16 @@ from .fileio import atomic_write_csv, atomic_write_json, load_json
 from .harness import (
     DEFAULT_SEPARATION,
     SweepSpec,
+    _load_phi_document,
+    _slug,
     channels_for_rate,
     run_crb_experiment,
     run_scf_sweep,
     write_crb_report,
     write_sweep_report,
 )
-from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
-from .sgd_designer import DesignTrace, OptimizerConfig, design
+from .scf_objective import ScfGrid, grid_scf_error
+from .sgd_designer import OptimizerConfig, design
 
 __all__ = ["CliConfig", "OPTIONS", "parse_and_validate", "run", "main", "console_main"]
 
@@ -48,19 +50,7 @@ SEED_ENV_VAR = "ARRAYFORGE_SEED"
 
 
 class CliError(Exception):
-    """Base class for validation failures; mapped to exit status 2."""
-
-
-class OptionValueError(CliError):
-    """A flag or config value is out of range or malformed."""
-
-
-class MissingInputError(CliError):
-    """A referenced input file does not exist."""
-
-
-class ConfigFileError(CliError):
-    """The config file is malformed, unversioned, or has unknown keys."""
+    """A validation failure (bad value, missing file, bad config file): exit status 2."""
 
 
 def _integer(value) -> int:
@@ -98,7 +88,10 @@ def _listed(item: Callable) -> Callable:
 
 def _pairs(value) -> dict:
     if isinstance(value, list):
-        value = dict(_text(item).split("=", 1) for item in value)
+        pairs = [_text(item).split("=", 1) for item in value]
+        value = dict(pairs)
+        if len(value) != len(pairs):
+            raise ValueError
     if not isinstance(value, dict):
         raise TypeError
     return {key: _text(path) for key, path in value.items()}
@@ -117,7 +110,7 @@ NUMBER = OptionType("a finite number", _number)
 TEXT = OptionType("a string", _text)
 NUMBERS = OptionType("comma-separated numbers or a JSON list of numbers", _listed(_number))
 NAMES = OptionType("comma-separated names or a JSON list of strings", _listed(_text))
-PAIRS = OptionType("repeated KEY=PATH flags or a JSON object of paths", _pairs)
+PAIRS = OptionType("KEY=PATH flags with distinct keys or a JSON object of paths", _pairs)
 
 _REQUIRED = object()
 
@@ -150,9 +143,9 @@ class Option:
         try:
             result = self.type.parse(value)
         except (TypeError, ValueError):
-            raise OptionValueError(f"{source} must be {self.type.description}, got {value!r}") from None
+            raise CliError(f"{source} must be {self.type.description}, got {value!r}") from None
         if self.bound is not None and not self.bound[0](result):
-            raise OptionValueError(f"{source} must be {self.bound[1]}, got {result!r}")
+            raise CliError(f"{source} must be {self.bound[1]}, got {result!r}")
         return result
 
 
@@ -197,13 +190,14 @@ OPTIONS = (
     Option("phi", TEXT, _REQUIRED, ("evaluate-scf",), "combining matrix or design trace JSON"),
     Option("method", TEXT, None, ("evaluate-scf",), "method label for the CSV row"),
     Option("phi", PAIRS, {}, ("evaluate-crb",),
-           "NAME=PATH of a combining matrix JSON (repeatable); uncompressed always included"),
+           "NAME=PATH of a combining matrix or design trace JSON (repeatable); uncompressed always included"),
     Option("sigma2", NUMBER, 1.0, ("evaluate-crb",), "noise variance", _POSITIVE),
     Option("separation", NUMBER, DEFAULT_SEPARATION, ("evaluate-crb",), "pair separation", _POSITIVE),
     Option("rates", NUMBERS, (0.2, 0.4, 0.6), ("sweep",), "comma-separated compression rates in (0, 1]"),
     Option("seeds_per_point", INTEGER, 5, ("sweep",), "seeds per (method, rate)"),
     Option("methods", NAMES, ("gaussian", "sgd"), ("sweep",), "comma-separated subset of gaussian,sgd,external"),
-    Option("external_phi", PAIRS, {}, ("sweep",), "RATE=PATH of an externally designed matrix (repeatable)"),
+    Option("external_phi", PAIRS, {}, ("sweep",),
+           "RATE=PATH of an externally designed matrix or design trace JSON (repeatable)"),
 )
 
 _SUCA_KEYS = ("stacks", "per_stack", "spacing_wl", "radius_wl")
@@ -267,20 +261,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path_text: str) -> dict:
     path = Path(path_text)
     if not path.is_file():
-        raise MissingInputError(f"config file not found: {path}")
+        raise CliError(f"config file not found: {path}")
     try:
         data = load_json(path)
     except Exception as exc:
-        raise ConfigFileError(f"config file {path} is not valid JSON: {exc}") from None
+        raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigFileError(f"config file {path} must hold a JSON object")
+        raise CliError(f"config file {path} must hold a JSON object")
     if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigFileError(
+        raise CliError(
             f"config file {path} must declare \"schema_version\": {CONFIG_SCHEMA_VERSION}"
         )
     unknown = sorted(set(data) - {option.name for option in OPTIONS} - {"schema_version"})
     if unknown:
-        raise ConfigFileError(
+        raise CliError(
             f"config file {path} has unknown keys: {', '.join(unknown)}"
         )
     return {k: v for k, v in data.items() if k != "schema_version"}
@@ -302,7 +296,7 @@ def _resolve(command: str, flags: dict, file_values: dict) -> tuple:
         elif option.name == "seed" and SEED_ENV_VAR in os.environ:
             raw, source = os.environ[SEED_ENV_VAR], SEED_ENV_VAR
         elif option.default is _REQUIRED:
-            raise OptionValueError(f"{option.flag} is required for {command}")
+            raise CliError(f"{option.flag} is required for {command}")
         else:
             values[option.name] = option.default
             continue
@@ -314,7 +308,7 @@ def _resolve(command: str, flags: dict, file_values: dict) -> tuple:
 def _require_file(kind: str, path_text: str) -> Path:
     path = Path(path_text)
     if not path.is_file():
-        raise MissingInputError(f"{kind} file not found: {path}")
+        raise CliError(f"{kind} file not found: {path}")
     return path
 
 
@@ -324,12 +318,12 @@ def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
     suca_given = [key for key in _SUCA_KEYS if key in given]
     if suca_given:
         flags = ", ".join(map(_flag, suca_given))
-        raise OptionValueError(f"exactly one geometry source: drop {flags} or drop --geometry")
+        raise CliError(f"exactly one geometry source: drop {flags} or drop --geometry")
     path = _require_file("geometry", values["geometry"])
     try:
         geometry = load_geometry(path)
     except Exception as exc:
-        raise OptionValueError(f"could not read geometry {path}: {exc}") from None
+        raise CliError(f"could not read geometry {path}: {exc}") from None
     for key in _SUCA_KEYS:
         values[key] = None
     return geometry
@@ -371,7 +365,7 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
     if command == "design":
         # design() checks this only when it runs, which would exit 1.
         if not 1 <= v["channels"] <= geometry.element_count:
-            raise OptionValueError(
+            raise CliError(
                 f"--channels must lie in 1..{geometry.element_count}, got {v['channels']}"
             )
         cfg.channels = v["channels"]
@@ -383,7 +377,11 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
             path = _require_file("combining matrix", path_text)
             label = name or path.stem
             if label == "uncompressed":
-                raise OptionValueError('the label "uncompressed" is reserved')
+                raise CliError('the label "uncompressed" is reserved')
+            # Labels name the map files, so they must differ after _slug.
+            taken = {_slug(other): other for other in cfg.phi_inputs}
+            if _slug(label) in taken:
+                raise CliError(f'--phi labels "{taken[_slug(label)]}" and "{label}" name the same files')
             cfg.phi_inputs[label] = path
         cfg.sigma2 = v["sigma2"]
         cfg.separation = v["separation"]
@@ -396,7 +394,7 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
             methods=v["methods"],
             grid=cfg.grid,
             optimizer=cfg.optimizer,
-            external_phi_paths=v["external_phi"] or None,
+            external_phi_paths=v["external_phi"],
         )
         for rate in cfg.spec.compression_rates:
             channels_for_rate(rate, geometry.element_count)
@@ -412,7 +410,7 @@ def parse_and_validate(argv) -> CliConfig:
     try:
         return _build(command, values, given)
     except ValueError as exc:
-        raise OptionValueError(str(exc)) from None
+        raise CliError(str(exc)) from None
 
 
 def _provenance(config: CliConfig) -> dict:
@@ -443,28 +441,17 @@ def _run_design(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def _load_phi_document(path: Path):
-    """Accept either a bare combining-matrix JSON or a design-trace JSON."""
-    data = load_json(path)
-    if isinstance(data, dict) and "phi" in data:
-        trace = DesignTrace.from_dict(data)
-        return trace.final_phi, "sgd", trace.config.seed
-    return CombiningMatrix.from_dict(data), "external", None
-
-
 def _run_evaluate_scf(config: CliConfig) -> int:
-    phi, inferred_method, inferred_seed = _load_phi_document(config.phi_path)
-    method = config.method if config.method is not None else inferred_method
+    phi, trace = _load_phi_document(config.phi_path)
+    method = config.method
+    if method is None:
+        method = "external" if trace is None else "sgd"
     seed = config.seed
-    if not config.seed_given and inferred_seed is not None:
-        seed = inferred_seed
+    if not config.seed_given and trace is not None:
+        seed = trace.config.seed
     error = grid_scf_error(config.geometry, phi, config.grid)
     rho = phi.rows / config.geometry.element_count
-    atomic_write_csv(
-        config.out,
-        ["rho", "method", "seed", "scf_error"],
-        [[repr(rho), method, str(seed), repr(error)]],
-    )
+    atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho, method, seed, error]])
     _emit(config.out, f"rho={rho:.6g}, method={method}, scf_error={error:.6g}")
     sidecar = config.out.parent / (config.out.stem + "_provenance.json")
     doc = _provenance(config)
@@ -517,9 +504,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return run(config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

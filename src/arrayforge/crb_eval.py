@@ -30,7 +30,6 @@ __all__ = [
     "CrbScenario",
     "CrbResult",
     "CrbMap",
-    "orthogonal_complement_projector",
     "crb",
     "crb_map",
     "write_crb_map",
@@ -92,18 +91,6 @@ class CrbResult:
 def _condition(eig: np.ndarray) -> np.ndarray:
     """Largest over smallest of each row of ascending eigenvalues; inf unless positive."""
     return np.divide(eig[:, -1], eig[:, 0], out=np.full(len(eig), math.inf), where=eig[:, 0] > 0.0)
-
-
-def orthogonal_complement_projector(columns: np.ndarray) -> np.ndarray:
-    """I - G (G^H G)^{-1} G^H for a full-column-rank matrix G."""
-    g = np.asarray(columns, dtype=complex)
-    gram = g.conj().T @ g
-    condition = float(_condition(np.linalg.eigvalsh(gram)[None])[0])
-    if condition > CONDITION_LIMIT:
-        raise RankDeficientSteeringError(
-            f"source steering matrix is rank deficient (condition {condition:.3e})"
-        )
-    return np.eye(g.shape[0]) - g @ np.linalg.solve(gram, g.conj().T)
 
 
 def _crb_batch(geometry, phi: CombiningMatrix | None, azimuth, elevation, amplitudes, noise_variance):
@@ -243,10 +230,8 @@ def crb_map(
 
 def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
     """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
-    rows = [
-        [repr(float(az)), repr(float(el)), repr(float(value)), status]
-        for az, el, value, status in zip(*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
-    ]
+    columns = (*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
+    rows = zip(*(column.tolist() for column in columns))
     csv_path = atomic_write_csv(csv_path, ["azimuth", "elevation", "crb_value", "status"], rows)
     sidecar = map_.to_metadata()
     if metadata:

@@ -4,6 +4,8 @@ All writers serialize fully in memory, write to a temporary file next to
 the target, and rename it into place, so an interrupted run never leaves
 a truncated artifact behind.  Output is canonical (sorted JSON keys, LF
 line endings, repr floats) so identical inputs produce identical bytes.
+This module owns the CSV cell format: callers pass Python scalars and
+never encode cells themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 __all__ = ["atomic_write_text", "atomic_write_json", "atomic_write_csv", "load_json"]
@@ -44,11 +47,18 @@ def atomic_write_json(path, obj) -> Path:
 
 
 def atomic_write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` of Python scalars as CSV.
+
+    A row is a sequence in header order or a mapping keyed by ``header``.
+    Each cell is ``str(value)``, which for ``float`` and ``int`` equals
+    ``repr(value)`` (``nan`` and ``inf`` included), so floats round-trip
+    exactly.  Pass Python scalars, not numpy ones.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow(row)
+        writer.writerow([row[key] for key in header] if isinstance(row, Mapping) else row)
     return atomic_write_text(path, buffer.getvalue())
 
 

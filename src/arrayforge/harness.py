@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 from ._version import __version__
 from .array_model import ArrayGeometry
 from .crb_eval import crb_map, write_crb_map
-from .fileio import atomic_write_csv, atomic_write_json
+from .fileio import atomic_write_csv, atomic_write_json, load_json
 from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
-from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
+from .sgd_designer import DesignTrace, OptimizerConfig, design, random_gaussian_phi
 
 __all__ = [
     "SweepSpec",
@@ -53,6 +53,8 @@ class SweepSpec:
     Per-job seeds are ``optimizer.seed + j`` for j below ``seeds_per_point``;
     the sgd run with seed s starts from the identical Gaussian draw as the
     gaussian baseline with seed s, so the comparison is paired.
+    ``external_phi_paths`` maps rate keys (text) to combining-matrix or
+    design-trace files; no two keys may name the same rate.
     """
 
     compression_rates: tuple
@@ -65,6 +67,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "compression_rates", tuple(self.compression_rates))
         object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "external_phi_paths", dict(self.external_phi_paths or {}))
         if len(self.compression_rates) < 1:
             raise ValueError("need at least one compression rate")
         for rate in self.compression_rates:
@@ -80,21 +83,18 @@ class SweepSpec:
         for name, values in (("compression rates", self.compression_rates), ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {values}")
-        for key in self.external_phi_paths or {}:
+        rates = {}
+        for key in self.external_phi_paths:
             try:
-                float(key)
+                rate = float(key)
             except (TypeError, ValueError):
                 raise ValueError(f"external matrix keys must be rates, got {key!r}") from None
+            if rate in rates:
+                raise ValueError(f"external matrix keys {rates[rate]!r} and {key!r} name the same rate")
+            rates[rate] = key
 
     def to_dict(self) -> dict:
-        return {
-            "compression_rates": list(self.compression_rates),
-            "seeds_per_point": self.seeds_per_point,
-            "methods": list(self.methods),
-            "grid": self.grid.to_dict(),
-            "optimizer": self.optimizer.to_dict(),
-            "external_phi_paths": dict(self.external_phi_paths or {}),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -108,8 +108,20 @@ class ExperimentReport:
     maps: list | None = None
 
 
+def _load_phi_document(path) -> tuple:
+    """Read a bare combining-matrix JSON or a design-trace JSON.
+
+    Returns the matrix and the trace it came from (None for a bare matrix).
+    """
+    data = load_json(path)
+    if isinstance(data, dict) and "phi" in data:
+        trace = DesignTrace.from_dict(data)
+        return trace.final_phi, trace
+    return CombiningMatrix.from_dict(data), None
+
+
 def _external_path(spec: SweepSpec, rate: float):
-    for key, path in (spec.external_phi_paths or {}).items():
+    for key, path in spec.external_phi_paths.items():
         if math.isclose(float(key), rate, rel_tol=0.0, abs_tol=1e-12):
             return path
     return None
@@ -124,7 +136,7 @@ def _sweep_phi(geometry, spec, method, rate, channels, seed):
     path = _external_path(spec, rate)
     if path is None:
         raise FileNotFoundError(f"no external combining matrix registered for rate {rate}")
-    phi = CombiningMatrix.load(path)
+    phi, _ = _load_phi_document(path)
     if (phi.rows, phi.cols) != (channels, geometry.element_count):
         raise ValueError(
             f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, "
@@ -254,30 +266,12 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
     outdir = Path(outdir)
     written = []
     header = ["rho", "method", "seed", "scf_error", "channels", "status"]
-
-    def encode(row):
-        return [
-            repr(float(row["rho"])),
-            row["method"],
-            str(row["seed"]),
-            repr(float(row["scf_error"])),
-            str(row["channels"]),
-            row["status"],
-        ]
-
     for row in report.rows:
         name = f"scf_sweep_{_slug(row['method'])}_{_slug(row['rho'])}_{row['seed']}.csv"
-        written.append(atomic_write_csv(outdir / name, header, [encode(row)]))
-    written.append(
-        atomic_write_csv(outdir / "scf_sweep_results.csv", header, [encode(r) for r in report.rows])
-    )
+        written.append(atomic_write_csv(outdir / name, header, [row]))
+    written.append(atomic_write_csv(outdir / "scf_sweep_results.csv", header, report.rows))
     summary_header = ["method", "rho", "channels", "count", "median_scf_error", "q25_scf_error", "q75_scf_error"]
-    summary_rows = [
-        [a["method"], repr(float(a["rho"])), str(a["channels"]), str(a["count"]),
-         repr(a["median_scf_error"]), repr(a["q25_scf_error"]), repr(a["q75_scf_error"])]
-        for a in report.aggregates
-    ]
-    written.append(atomic_write_csv(outdir / "scf_sweep_summary.csv", summary_header, summary_rows))
+    written.append(atomic_write_csv(outdir / "scf_sweep_summary.csv", summary_header, report.aggregates))
     written.append(atomic_write_json(outdir / "scf_sweep_provenance.json", report.provenance))
     return written
 
@@ -292,11 +286,6 @@ def write_crb_report(report: ExperimentReport, outdir) -> list:
         )
         written.extend([csv_path, json_path])
     header = ["method", "kind", "cells_total", "cells_ok", "median_log10_crb", "variance_log10_crb"]
-    rows = [
-        [r["method"], r["kind"], str(r["cells_total"]), str(r["cells_ok"]),
-         repr(r["median_log10_crb"]), repr(r["variance_log10_crb"])]
-        for r in report.rows
-    ]
-    written.append(atomic_write_csv(outdir / "crb_summary.csv", header, rows))
+    written.append(atomic_write_csv(outdir / "crb_summary.csv", header, report.rows))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))
     return written

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -181,12 +181,7 @@ class ScfGrid:
         return [Direction(float(az), float(el)) for az, el in zip(*self.angles())]
 
     def to_dict(self) -> dict:
-        return {
-            "azimuth_count": self.azimuth_count,
-            "elevation_count": self.elevation_count,
-            "azimuth_range": list(self.azimuth_range),
-            "elevation_range": list(self.elevation_range),
-        }
+        return asdict(self)
 
 
 def _require_compatible(geometry: ArrayGeometry, phi: CombiningMatrix) -> None:

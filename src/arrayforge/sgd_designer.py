@@ -8,7 +8,7 @@ to unit length.  Runs are fully determined by the configured seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,17 +70,7 @@ class OptimizerConfig:
             raise ValueError("renormalize_every and record_every must be at least 1")
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "batch_size": self.batch_size,
-            "step_size": self.step_size,
-            "drag": self.drag,
-            "azimuth_range": list(self.azimuth_range),
-            "elevation_range": list(self.elevation_range),
-            "seed": self.seed,
-            "renormalize_every": self.renormalize_every,
-            "record_every": self.record_every,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":

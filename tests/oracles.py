@@ -11,10 +11,12 @@ import math
 import numpy as np
 
 from arrayforge import (
+    CONDITION_LIMIT,
     AngleBatch,
     ArrayGeometry,
     CombiningMatrix,
     Direction,
+    RankDeficientSteeringError,
     batch_cost,
     error_e,
     steering,
@@ -121,6 +123,19 @@ def numerical_fim_crb(geometry, scenario, step=1e-6):
     fim = (2.0 / scenario.noise_variance) * np.real(jac.conj().T @ jac)
     covariance = np.linalg.inv(fim)
     return float(np.trace(covariance[: 2 * count, : 2 * count]))
+
+
+def orthogonal_complement_projector(columns):
+    """I - G (G^H G)^{-1} G^H for a full-column-rank matrix G."""
+    g = np.asarray(columns, dtype=complex)
+    gram = g.conj().T @ g
+    eig = np.linalg.eigvalsh(gram)
+    condition = eig[-1] / eig[0] if eig[0] > 0.0 else math.inf
+    if condition > CONDITION_LIMIT:
+        raise RankDeficientSteeringError(
+            f"source steering matrix is rank deficient (condition {condition:.3e})"
+        )
+    return np.eye(g.shape[0]) - g @ np.linalg.solve(gram, g.conj().T)
 
 
 def random_unitary(n, rng):

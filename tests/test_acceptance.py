@@ -46,7 +46,6 @@ from arrayforge import (
     error_matrix,
     gradient,
     grid_scf_error,
-    orthogonal_complement_projector,
     random_gaussian_phi,
     steering,
 )
@@ -56,6 +55,7 @@ from oracles import (
     finite_difference_gradient,
     max_relative_error,
     numerical_fim_crb,
+    orthogonal_complement_projector,
     quadruple_loop_cost,
     random_directions,
     random_unitary,

@@ -448,6 +448,49 @@ class TestSweepCommand:
         assert rows[1][1] == "external"
         assert float(rows[1][3]) <= 1e-10
 
+    def test_external_design_trace_scores_like_evaluate_scf(self, tmp_path):
+        trace = run_design(tmp_path)
+        scf = tmp_path / "scf.csv"
+        assert main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), "--out", str(scf)]) == 0
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
+                "--methods", "external", "--external-phi", f"0.5={trace}", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        row = read_rows(out / "scf_sweep_results.csv")[1]
+        assert row[5] == "ok"
+        assert row[3] == read_rows(scf)[1][3]
+
+
+class TestRepeatedInputs:
+    """An input named twice is rejected, never silently dropped."""
+
+    @pytest.mark.parametrize(
+        "command, pairs",
+        [
+            ("evaluate-crb", ["--phi", "a={x}", "--phi", "a={y}"]),
+            ("evaluate-crb", ["--phi", "x={y}", "--phi", "={x}"]),
+            ("evaluate-crb", ["--phi", "a b={x}", "--phi", "a-b={y}"]),
+            ("sweep", ["--methods", "external", "--external-phi", "1.0={x}", "--external-phi", "1.00={y}"]),
+        ],
+        ids=["repeated-key", "colliding-label", "same-file-name", "equal-rates"],
+    )
+    def test_exits_2(self, tmp_path, capsys, command, pairs):
+        unitary = CombiningMatrix(random_unitary(4, np.random.default_rng(2)))
+        paths = {name: tmp_path / f"{name}.json" for name in "xy"}
+        for path in paths.values():
+            path.write_text(json.dumps(unitary.to_dict()))
+        out = tmp_path / "out"
+        argv = [command, *SMALL_GEOM, *SMALL_GRID, *(p.format(**paths) for p in pairs), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--rates", "1.0", "--seeds-per-point", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_design_reruns_overwrite_with_identical_bytes(self, tmp_path):

@@ -14,13 +14,12 @@ from arrayforge import (
     UnidentifiableScenarioError,
     crb,
     crb_map,
-    orthogonal_complement_projector,
     random_gaussian_phi,
     steering,
     steering_derivative,
     write_crb_map,
 )
-from oracles import numerical_fim_crb, random_unitary
+from oracles import numerical_fim_crb, orthogonal_complement_projector, random_unitary
 
 
 def random_scenario(rng, geometry, sources=1, compressed=True):

@@ -172,6 +172,7 @@ class TestSweepSpecValidation:
             {"compression_rates": (0.5, 1.0, 0.5)},
             {"methods": ("gaussian", "sgd", "gaussian")},
             {"external_phi_paths": {"half": "phi.json"}},
+            {"external_phi_paths": {"0.4": "a.json", "0.40": "b.json"}},
         ],
     )
     def test_rejects_repeats_and_non_rate_external_keys(self, overrides):
