@@ -9,6 +9,12 @@ through the same coercer, and every coerced value, defaults included, is
 echoed into the provenance block of the artifacts it produced, except
 ``--jobs``, which results do not depend on.
 
+``main`` pins numpy's OpenBLAS to one thread while a command runs and
+restores the previous count afterwards, so that the ``--jobs`` sweep
+workers are the only level of parallelism.  The count in effect is
+recorded in provenance as ``blas_threads`` (null when no OpenBLAS thread
+control was found and the run went ahead unpinned).
+
 Exit status: 0 on success, 2 for validation failures (unknown flags,
 malformed or out-of-range values, missing files), 1 for runtime failures.
 """
@@ -16,6 +22,8 @@ malformed or out-of-range values, missing files), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import math
 import os
 import sys
@@ -115,6 +123,13 @@ PAIRS = OptionType("KEY=PATH flags with distinct keys or a JSON object of paths"
 _REQUIRED = object()
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -168,7 +183,9 @@ OPTIONS = (
     Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
     Option("seed", INTEGER, 0, _ALL, f"random seed (falls back to {SEED_ENV_VAR})", (lambda v: v >= 0, ">= 0")),
     # Only sweep runs jobs in parallel; results do not depend on it, so it is not recorded.
-    Option("jobs", INTEGER, os.cpu_count() or 1, _ALL, "sweep worker threads", (lambda v: v >= 1, ">= 1")),
+    Option("jobs", INTEGER, _usable_cores(), _ALL,
+           "sweep worker threads, each using one BLAS thread (default: the cores this process may use)",
+           (lambda v: v >= 1, ">= 1")),
     Option("out", TEXT, _REQUIRED, _ALL, "output file or directory"),
     Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
     Option("iters", INTEGER, 5000, _OPTIMIZER, "SGD iterations"),
@@ -208,7 +225,8 @@ class CliConfig:
     """Fully resolved and validated invocation of one subcommand.
 
     ``options`` holds the coerced value of every option the subcommand
-    takes except ``jobs``: the provenance echo.
+    takes except ``jobs``: the provenance echo.  ``blas_threads`` is the
+    OpenBLAS thread count ``main`` ran the command with (None: unpinned).
     """
 
     command: str
@@ -227,6 +245,7 @@ class CliConfig:
     sigma2: float = 1.0
     separation: float = DEFAULT_SEPARATION
     phi_inputs: dict = field(default_factory=dict)
+    blas_threads: int | None = None
 
     @property
     def rates(self) -> tuple:
@@ -420,6 +439,7 @@ def _provenance(config: CliConfig) -> dict:
         "package_version": __version__,
         "geometry": config.geometry.to_dict(),
         "resolved_options": config.options,
+        "blas_threads": config.blas_threads,
     }
 
 
@@ -494,6 +514,58 @@ def run(config: CliConfig) -> int:
     return _RUNNERS[config.command](config)
 
 
+# (setter, getter) symbol pairs of OpenBLAS builds, the scipy-openblas wheel's first.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_control():
+    """The (set, get) thread-count functions of the OpenBLAS numpy uses, or None.
+
+    numpy's LAPACK extension is opened with ``RTLD_NOLOAD``, which loads
+    nothing, and the symbols resolve through it to the BLAS library it is
+    linked against: the copy numpy has already loaded.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    try:
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__, os.RTLD_NOLOAD)
+    except (ImportError, OSError):
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(library, set_name) and hasattr(library, get_name):
+            set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread; yield the count in effect (None: unpinned).
+
+    The previous count is restored on exit, so in-process callers of
+    ``main`` get their BLAS back as they left it.
+    """
+    control = _openblas_thread_control()
+    if control is None:
+        yield None
+        return
+    set_threads, get_threads = control
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield get_threads()
+    finally:
+        set_threads(previous)
+
+
 def main(argv=None) -> int:
     try:
         config = parse_and_validate(list(argv) if argv is not None else sys.argv[1:])
@@ -503,7 +575,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return run(config)
+        with _one_blas_thread() as config.blas_threads:
+            return run(config)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

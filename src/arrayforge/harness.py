@@ -46,6 +46,10 @@ def channels_for_rate(rate: float, elements: int) -> int:
     return m
 
 
+def _same_rate(a: float, b: float) -> bool:
+    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One SCF-error sweep: rates x seeds x methods on a fixed grid.
@@ -54,7 +58,9 @@ class SweepSpec:
     the sgd run with seed s starts from the identical Gaussian draw as the
     gaussian baseline with seed s, so the comparison is paired.
     ``external_phi_paths`` maps rate keys (text) to combining-matrix or
-    design-trace files; no two keys may name the same rate.
+    design-trace files; no two keys may name the same rate, every key must
+    name one of ``compression_rates``, and keys need "external" among
+    ``methods``, so that no given file goes unread.
     """
 
     compression_rates: tuple
@@ -92,6 +98,11 @@ class SweepSpec:
             if rate in rates:
                 raise ValueError(f"external matrix keys {rates[rate]!r} and {key!r} name the same rate")
             rates[rate] = key
+        for rate, key in rates.items():
+            if not any(_same_rate(rate, other) for other in self.compression_rates):
+                raise ValueError(f"external matrix key {key!r} names no rate in {self.compression_rates}")
+        if rates and "external" not in self.methods:
+            raise ValueError(f'external matrices are given but "external" is not among methods {self.methods}')
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -122,7 +133,7 @@ def _load_phi_document(path) -> tuple:
 
 def _external_path(spec: SweepSpec, rate: float):
     for key, path in spec.external_phi_paths.items():
-        if math.isclose(float(key), rate, rel_tol=0.0, abs_tol=1e-12):
+        if _same_rate(float(key), rate):
             return path
     return None
 

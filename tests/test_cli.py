@@ -3,14 +3,18 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import arrayforge
 from arrayforge import CombiningMatrix, make_suca, save_geometry
 from arrayforge import cli
 from arrayforge.cli import main, parse_and_validate
@@ -464,6 +468,26 @@ class TestSweepCommand:
         assert row[5] == "ok"
         assert row[3] == read_rows(scf)[1][3]
 
+    @pytest.mark.parametrize(
+        "rates, methods, message",
+        [("0.5", "gaussian,external", "names no rate"), ("0.75", "gaussian", "not among methods")],
+        ids=["key-of-no-rate", "external-not-a-method"],
+    )
+    def test_unused_external_phi_exits_2(self, tmp_path, capsys, rates, methods, message):
+        unitary = CombiningMatrix(random_unitary(4, np.random.default_rng(2)))
+        phi_path = tmp_path / "bare.json"
+        phi_path.write_text(json.dumps(unitary.to_dict()))
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", rates, "--seeds-per-point", "1",
+                "--methods", methods, "--external-phi", f"0.75={phi_path}", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRepeatedInputs:
     """An input named twice is rejected, never silently dropped."""
@@ -503,6 +527,19 @@ class TestDeterminism:
         traces = [run_design(tmp_path, extra=["--jobs", jobs]).read_bytes() for jobs in "12"]
         assert traces[0] == traces[1]
 
+    def test_sweep_artifacts_do_not_depend_on_jobs(self, tmp_path):
+        snapshots, out = [], tmp_path / "sweep"
+        for jobs in "12":
+            args = [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, *FAST_DESIGN, "--rates", "0.5,1.0",
+                "--seeds-per-point", "2", "--methods", "gaussian,sgd", "--jobs", jobs, "--out", str(out),
+            ]
+            assert main(args) == 0
+            snapshots.append({p.name: p.read_bytes() for p in out.iterdir()})
+            shutil.rmtree(out)
+        assert len(snapshots[0]) == 11
+        assert snapshots[0] == snapshots[1]
+
     def test_sweep_reruns_overwrite_with_identical_bytes(self, tmp_path):
         args = [
             "sweep", *SMALL_GEOM, *SMALL_GRID, *FAST_DESIGN,
@@ -514,6 +551,77 @@ class TestDeterminism:
         assert main(args) == 0
         again = {p.name: p.read_bytes() for p in (tmp_path / "sweep").iterdir()}
         assert again == snapshot
+
+
+SWEEP_ARGS = [
+    "sweep", *SMALL_GEOM, *SMALL_GRID, *FAST_DESIGN,
+    "--rates", "0.5", "--seeds-per-point", "1", "--methods", "gaussian,sgd",
+]
+
+
+@pytest.fixture
+def blas_control():
+    """OpenBLAS (set, get) thread-count functions; skips where numpy has none."""
+    control = cli._openblas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    return control
+
+
+def _package_env() -> dict:
+    """Environment in which a child interpreter imports this checkout's package."""
+    source = str(Path(arrayforge.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
+class TestBlasPin:
+    """The CLI runs each command with one OpenBLAS thread and restores the count."""
+
+    def test_import_leaves_thread_count_alone(self, blas_control):
+        probe = (
+            "import arrayforge, arrayforge.cli\n"
+            "set_threads, get_threads = arrayforge.cli._openblas_thread_control()\n"
+            "print(get_threads())\n"
+        )
+        env = {**_package_env(), "OPENBLAS_NUM_THREADS": "2"}
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "2"
+
+    def test_in_process_main_pins_then_restores(self, blas_control, tmp_path, monkeypatch):
+        set_threads, get_threads = blas_control
+        before = get_threads()
+        set_threads(2)
+        seen, run = [], cli.run
+
+        def spy(config):
+            seen.append((get_threads(), config.blas_threads))
+            return run(config)
+
+        monkeypatch.setattr(cli, "run", spy)
+        try:
+            assert main([*SWEEP_ARGS, "--jobs", "2", "--out", str(tmp_path / "sweep")]) == 0
+            assert seen == [(1, 1)]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        provenance = json.loads((tmp_path / "sweep" / "scf_sweep_provenance.json").read_text())
+        assert provenance["blas_threads"] == 1
+
+    def test_module_run_records_one_blas_thread(self, blas_control, tmp_path):
+        out = tmp_path / "sweep"
+        result = subprocess.run(
+            [sys.executable, "-m", "arrayforge", *SWEEP_ARGS, "--out", str(out)],
+            capture_output=True, text=True, env=_package_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        provenance = json.loads((out / "scf_sweep_provenance.json").read_text())
+        assert provenance["blas_threads"] == 1
+
+    def test_unpinned_run_records_null(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_thread_control", lambda: None)
+        out = run_design(tmp_path)
+        assert json.loads(out.read_text())["provenance"]["blas_threads"] is None
 
 
 class TestAtomicWrites:

@@ -179,6 +179,14 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             small_spec(**overrides)
 
+    def test_rejects_external_key_of_no_rate(self):
+        with pytest.raises(ValueError, match="names no rate"):
+            small_spec(methods=("external",), external_phi_paths={"0.75": "phi.json"})
+
+    def test_rejects_external_keys_without_external_method(self):
+        with pytest.raises(ValueError, match="not among methods"):
+            small_spec(methods=("gaussian",), external_phi_paths={"0.5": "phi.json"})
+
 
 class TestCrbExperiment:
     def test_uncompressed_always_included(self, small_geometry):
