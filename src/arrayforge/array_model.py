@@ -14,13 +14,13 @@ here once and for all.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .fileio import atomic_write_json, load_json
 
 __all__ = [
     "ArrayGeometry",
@@ -158,11 +158,8 @@ def steering_derivative(geometry: ArrayGeometry, direction: Direction):
 
 def load_geometry(path) -> ArrayGeometry:
     """Read an ArrayGeometry from a JSON document {"positions": [[x,y,z], ...]}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return ArrayGeometry.from_dict(json.load(handle))
+    return ArrayGeometry.from_dict(load_json(path))
 
 
 def save_geometry(geometry: ArrayGeometry, path) -> None:
-    Path(path).write_text(
-        json.dumps(geometry.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    atomic_write_json(path, geometry.to_dict())

@@ -37,8 +37,8 @@ from .fileio import atomic_write_csv, atomic_write_json, load_json
 from .harness import (
     DEFAULT_SEPARATION,
     SweepSpec,
+    _check_labels,
     _load_phi_document,
-    _slug,
     channels_for_rate,
     run_crb_experiment,
     run_scf_sweep,
@@ -392,16 +392,10 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
         cfg.phi_path = _require_file("combining matrix", v["phi"])
         cfg.method = v["method"]
     elif command == "evaluate-crb":
-        for name, path_text in v["phi"].items():
-            path = _require_file("combining matrix", path_text)
-            label = name or path.stem
-            if label == "uncompressed":
-                raise CliError('the label "uncompressed" is reserved')
-            # Labels name the map files, so they must differ after _slug.
-            taken = {_slug(other): other for other in cfg.phi_inputs}
-            if _slug(label) in taken:
-                raise CliError(f'--phi labels "{taken[_slug(label)]}" and "{label}" name the same files')
-            cfg.phi_inputs[label] = path
+        paths = [_require_file("combining matrix", text) for text in v["phi"].values()]
+        labels = [name or path.stem for name, path in zip(v["phi"], paths)]
+        _check_labels(labels)
+        cfg.phi_inputs = dict(zip(labels, paths))
         cfg.sigma2 = v["sigma2"]
         cfg.separation = v["separation"]
     elif command == "sweep":

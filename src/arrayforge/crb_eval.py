@@ -10,6 +10,7 @@ where G stacks the compressed source steering vectors, D their azimuth and
 elevation derivatives (azimuth block first), and R = x x^H is the rank-one
 sample covariance of the source amplitudes.  Noise is white with variance
 sigma^2 at the compressed outputs.  ``crb`` and ``crb_map`` call one batched routine.
+This module only computes: ``harness.write_crb_map`` names and writes map files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry, steering_derivative_angles
-from .fileio import atomic_write_csv, atomic_write_json
 from .scf_objective import CombiningMatrix, ScfGrid, _require_compatible
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "CrbMap",
     "crb",
     "crb_map",
-    "write_crb_map",
 ]
 
 CONDITION_LIMIT = 1e12
@@ -173,15 +172,6 @@ class CrbMap:
             "variance_log10_crb": float(np.var(logs, ddof=1)) if logs.size > 1 else math.nan,
         }
 
-    def to_metadata(self) -> dict:
-        return {
-            "kind": self.kind,
-            "separation": self.separation,
-            "noise_variance": self.noise_variance,
-            "grid": self.grid.to_dict(),
-            "statistics": self.log10_statistics(),
-        }
-
 
 def crb_map(
     geometry: ArrayGeometry,
@@ -226,15 +216,3 @@ def crb_map(
             rank_deficient, "rank-deficient", np.where(unidentifiable, "unidentifiable", "ok")
         )
     return CrbMap(grid, scenario_kind, separation if pair else None, noise_variance, values, status)
-
-
-def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
-    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
-    columns = (*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
-    rows = zip(*(column.tolist() for column in columns))
-    csv_path = atomic_write_csv(csv_path, ["azimuth", "elevation", "crb_value", "status"], rows)
-    sidecar = map_.to_metadata()
-    if metadata:
-        sidecar.update(metadata)
-    json_path = atomic_write_json(csv_path.with_suffix(".json"), sidecar)
-    return csv_path, json_path

@@ -1,4 +1,4 @@
-"""Atomic artifact writing and small JSON/CSV helpers.
+"""Atomic artifact writing and JSON reading: the package's only file I/O.
 
 All writers serialize fully in memory, write to a temporary file next to
 the target, and rename it into place, so an interrupted run never leaves

@@ -4,6 +4,10 @@ Every job is independent and deterministically seeded, so runs can be
 parallelized and always reproduce byte-identical artifacts.  Output rows
 are sorted on canonical keys before writing, making the results not
 depend on the execution order or the degree of parallelism.
+
+This module owns the artifact names and writes every report and CRB map
+file through ``fileio``; design labels name the map files, so the label
+rule lives here too.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .array_model import ArrayGeometry
-from .crb_eval import crb_map, write_crb_map
+from .crb_eval import CrbMap, crb_map
 from .fileio import atomic_write_csv, atomic_write_json, load_json
 from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
 from .sgd_designer import DesignTrace, OptimizerConfig, design, random_gaussian_phi
@@ -30,6 +34,7 @@ __all__ = [
     "run_crb_experiment",
     "write_sweep_report",
     "write_crb_report",
+    "write_crb_map",
 ]
 
 SWEEP_METHODS = ("gaussian", "sgd", "external")
@@ -169,9 +174,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     A job that cannot produce a combining matrix (missing external file)
     yields an error row; the sweep continues.
     """
-    elements = geometry.element_count
-    for rate in spec.compression_rates:
-        channels_for_rate(rate, elements)
+    channels_at = {rate: channels_for_rate(rate, geometry.element_count) for rate in spec.compression_rates}
 
     job_list = [
         (method, rate, spec.optimizer.seed + offset)
@@ -182,10 +185,9 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
 
     def worker(job):
         method, rate, seed = job
-        channels = channels_for_rate(rate, elements)
-        row = {"rho": rate, "method": method, "seed": seed, "channels": channels}
+        row = {"rho": rate, "method": method, "seed": seed, "channels": channels_at[rate]}
         try:
-            phi = _sweep_phi(geometry, spec, method, rate, channels, seed)
+            phi = _sweep_phi(geometry, spec, method, rate, channels_at[rate], seed)
             row["scf_error"] = grid_scf_error(geometry, phi, spec.grid)
             row["status"] = "ok"
         except (FileNotFoundError, ValueError) as exc:
@@ -211,7 +213,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
                 {
                     "method": method,
                     "rho": rate,
-                    "channels": channels_for_rate(rate, elements),
+                    "channels": channels_at[rate],
                     "count": len(errors),
                     "median_scf_error": float(median),
                     "q25_scf_error": float(q25),
@@ -241,10 +243,11 @@ def run_crb_experiment(
     """Compute single / azimuth-pair / elevation-pair bound maps per design.
 
     ``phis`` maps a label to a CombiningMatrix; the uncompressed array is
-    always included under the label "uncompressed".
+    always included under the label "uncompressed".  Labels name the map
+    files, so "uncompressed" and two labels that name the same files raise
+    ``ValueError``.
     """
-    if "uncompressed" in phis:
-        raise ValueError('the label "uncompressed" is reserved')
+    _check_labels(phis)
 
     maps, rows = [], []
     for name, phi in sorted({"uncompressed": None, **phis}.items()):
@@ -270,6 +273,33 @@ def run_crb_experiment(
 def _slug(value) -> str:
     text = str(value)
     return "".join(ch if (ch.isalnum() or ch in "._-") else "-" for ch in text)
+
+
+def _check_labels(labels) -> None:
+    """Reject the reserved label "uncompressed" and labels that share a ``_slug``."""
+    taken = {}
+    for label in labels:
+        if label == "uncompressed":
+            raise ValueError('the label "uncompressed" is reserved')
+        if _slug(label) in taken:
+            raise ValueError(f'labels "{taken[_slug(label)]}" and "{label}" name the same files')
+        taken[_slug(label)] = label
+
+
+def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
+    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
+    columns = (*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
+    rows = zip(*(column.tolist() for column in columns))
+    csv_path = atomic_write_csv(csv_path, ["azimuth", "elevation", "crb_value", "status"], rows)
+    sidecar = {
+        "kind": map_.kind,
+        "separation": map_.separation,
+        "noise_variance": map_.noise_variance,
+        "grid": map_.grid.to_dict(),
+        "statistics": map_.log10_statistics(),
+        **(metadata or {}),
+    }
+    return csv_path, atomic_write_json(csv_path.with_suffix(".json"), sidecar)
 
 
 def write_sweep_report(report: ExperimentReport, outdir) -> list:

@@ -6,7 +6,6 @@ so left-multiplying the matrix by any unitary leaves all costs unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -15,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayGeometry, Direction, steering, steering_angles
+from .fileio import load_json
 
 __all__ = [
     "AngleBatch",
@@ -100,8 +100,7 @@ class CombiningMatrix:
 
     @classmethod
     def load(cls, path) -> "CombiningMatrix":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(load_json(path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,12 +86,17 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Mutable snapshot of a running design: weights, velocity, RNG."""
+    """Mutable snapshot of a running design: weights, velocity, RNG.
+
+    ``cost`` is the batch cost the last ``step`` measured before its update
+    (None before the first step).
+    """
 
     phi: CombiningMatrix
     velocity: np.ndarray
     iteration: int
     rng: np.random.Generator
+    cost: float | None = None
 
 
 @dataclass
@@ -187,15 +192,6 @@ def initial_state(geometry: ArrayGeometry, channels: int, config: OptimizerConfi
     return OptimizerState(phi, np.zeros_like(phi.entries), 0, rng)
 
 
-def _advance(state: OptimizerState, config: OptimizerConfig, grad: np.ndarray) -> OptimizerState:
-    """One heavy-ball update of ``state`` along ``grad``, as ``step`` describes."""
-    velocity = config.drag * state.velocity - config.step_size * grad
-    phi = CombiningMatrix(state.phi.entries + velocity)
-    if state.iteration % config.renormalize_every == 0:
-        phi = phi.normalize()
-    return OptimizerState(phi, velocity, state.iteration + 1, state.rng)
-
-
 def step(
     geometry: ArrayGeometry,
     state: OptimizerState,
@@ -207,32 +203,36 @@ def step(
     Samples a fresh batch from the state's generator unless one is given,
     updates v <- drag*v - step_size*gradient, moves phi by v, and
     renormalizes columns on the configured cadence (velocity is left
-    untouched by renormalization).
+    untouched by renormalization).  The returned state's ``cost`` is the
+    batch cost before the update, from the same steering evaluation.
     """
     if state.iteration >= config.iterations:
         raise ValueError("optimizer state is already finished")
     if batch is None:
         batch = sample_batch(config, state.rng)
-    return _advance(state, config, gradient(geometry, state.phi, batch))
+    cost, grad = _cost_and_gradient(geometry, state.phi, batch)
+    velocity = config.drag * state.velocity - config.step_size * grad
+    phi = CombiningMatrix(state.phi.entries + velocity)
+    if state.iteration % config.renormalize_every == 0:
+        phi = phi.normalize()
+    return OptimizerState(phi, velocity, state.iteration + 1, state.rng, cost)
 
 
 def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> DesignTrace:
     """Run the full seeded design loop and return its trace.
 
-    Costs are recorded every ``record_every`` iterations, each measured on
-    the freshly sampled batch before the update that uses it; the cost and
-    the step come from one steering evaluation of that batch.  The returned
-    matrix is always column-normalized.
+    Each iteration is one ``step``; its ``cost`` is recorded every
+    ``record_every`` iterations.  The returned matrix is always
+    column-normalized.
     """
     if channels > geometry.element_count:
         raise ValueError("cannot have more channels than elements")
     state = initial_state(geometry, channels, config)
     costs = []
     for i in range(config.iterations):
-        cost, grad = _cost_and_gradient(geometry, state.phi, sample_batch(config, state.rng))
+        state = step(geometry, state, config)
         if i % config.record_every == 0:
-            costs.append((i, cost))
-        state = _advance(state, config, grad)
+            costs.append((i, state.cost))
     phi = state.phi
     last = config.iterations - 1
     if config.iterations > 0 and last % config.renormalize_every != 0:

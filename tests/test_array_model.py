@@ -14,6 +14,7 @@ from arrayforge import (
     steering_batch,
     steering_derivative,
 )
+from arrayforge import fileio
 from oracles import random_directions, random_geometry
 
 
@@ -83,6 +84,20 @@ class TestGeometry:
         data = json.loads(path.read_text())
         assert set(data) == {"positions"}
         assert len(data["positions"]) == 2
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "geometry.json"
+        save_geometry(make_suca(1, 2, 0.5, 0.1), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(fileio.os, "replace", fail)
+        with pytest.raises(OSError, match="interrupted"):
+            save_geometry(make_suca(2, 5, 0.4, 0.3), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["geometry.json"]
 
 
 class TestDirection:

@@ -211,6 +211,13 @@ class TestCrbExperiment:
         with pytest.raises(ValueError):
             run_crb_experiment(small_geometry, {"uncompressed": None}, grid)
 
+    @pytest.mark.parametrize("labels", [("a b", "a-b"), ("x/y", "x?y")], ids=["space", "punctuation"])
+    def test_labels_naming_the_same_files_rejected(self, small_geometry, labels):
+        grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
+        phi = CombiningMatrix(random_unitary(6, np.random.default_rng(1))[:3])
+        with pytest.raises(ValueError, match="name the same files"):
+            run_crb_experiment(small_geometry, dict.fromkeys(labels, phi), grid)
+
     def test_artifacts_written(self, small_geometry, tmp_path):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
         report = run_crb_experiment(small_geometry, {}, grid)

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import arrayforge
 from arrayforge import array_model, crb_eval, harness, scf_objective, sgd_designer
 
 MODULES = (array_model, scf_objective, sgd_designer, crb_eval, harness)
+SOURCES = Path(arrayforge.__file__).parent
 
 
 def test_package_exports_each_module_list_once():
@@ -11,3 +15,45 @@ def test_package_exports_each_module_list_once():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(arrayforge, name) is getattr(module, name)
+
+
+def imported_modules(tree):
+    """First name of each module an import reads, without the ``arrayforge`` prefix."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            yield parts[1] if parts[0] == "arrayforge" and len(parts) > 1 else parts[0]
+
+
+def file_calls(tree):
+    """Calls of ``open`` and of any ``write_text`` method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "write_text"
+            ):
+                yield ast.unparse(node)
+
+
+def test_only_fileio_reads_and_writes_files():
+    offenders = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.stem == "fileio":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = sorted(set(imported_modules(tree)) & {"json", "csv", "tempfile"}) + list(file_calls(tree))
+        if found:
+            offenders[path.stem] = found
+    assert offenders == {}
+
+
+def test_crb_eval_only_computes():
+    tree = ast.parse((SOURCES / "crb_eval.py").read_text(encoding="utf-8"))
+    assert set(imported_modules(tree)) & {"fileio", "harness"} == set()

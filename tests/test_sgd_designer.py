@@ -301,6 +301,7 @@ class TestDesign:
             batch = sample_batch(config, state.rng)
             expected.append((state.iteration, batch_cost(geom, state.phi, [batch])))
             state = step(geom, state, config, batch=batch)
+            assert state.cost == expected[-1][1]
         assert trace.costs == expected
 
     def test_trace_dict_roundtrip(self):
