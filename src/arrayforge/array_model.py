@@ -51,7 +51,15 @@ class Direction:
 
 
 class ArrayGeometry:
-    """Element positions of an N-element array, in wavelength units."""
+    """Element positions of an N-element array, in wavelength units.
+
+    The elements are grouped once, here, by their distinct horizontal
+    positions (x, y) and their distinct heights z.  When there are fewer
+    groups than elements, as on a stacked array whose rings share their
+    horizontal positions, ``steering_angles`` evaluates one phasor per
+    group and multiplies them per element; otherwise each element keeps
+    its own phasor.
+    """
 
     def __init__(self, positions) -> None:
         pos = np.array(positions, dtype=float)
@@ -63,6 +71,16 @@ class ArrayGeometry:
             raise ValueError("element positions must be finite")
         pos.setflags(write=False)
         self.positions = pos
+        horizontal, horizontal_index = np.unique(pos[:, :2], axis=0, return_inverse=True)
+        heights, height_index = np.unique(pos[:, 2], return_inverse=True)
+        self._stack = None
+        if len(horizontal) + len(heights) < len(pos):
+            # Rows (x, y, 0) of the U_h horizontal groups, then (0, 0, z) of the U_z
+            # heights, and the rows of each element's two factors.
+            groups = np.zeros((len(horizontal) + len(heights), 3))
+            groups[: len(horizontal), :2] = horizontal
+            groups[len(horizontal) :, 2] = heights
+            self._stack = (groups, horizontal_index.ravel(), len(horizontal) + height_index.ravel())
 
     @property
     def element_count(self) -> int:
@@ -112,17 +130,29 @@ def _propagation(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     )
 
 
+def _phasors(positions: np.ndarray, propagation: np.ndarray) -> np.ndarray:
+    """exp(j * 2*pi * <p, u>) for every row p of ``positions`` and column u of ``propagation``."""
+    return np.exp(1j * (_TWO_PI * (positions @ propagation)))
+
+
 def steering_angles(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """N x L complex matrix of steering vectors for L (azimuth, elevation) pairs.
 
     ``azimuth`` and ``elevation`` are equal-length 1-D arrays of radians.
+    On a grouped geometry each entry is the product of its horizontal and
+    its height phasor, so U_h + U_z exponentials are taken per direction
+    instead of N.
     """
     azimuth = np.asarray(azimuth, dtype=float)
     elevation = np.asarray(elevation, dtype=float)
     if azimuth.ndim != 1 or azimuth.shape != elevation.shape or azimuth.size < 1:
         raise ValueError("need equal-length, nonempty 1-D azimuth and elevation arrays")
-    phase = _TWO_PI * (geometry.positions @ _propagation(azimuth, elevation))
-    return np.exp(1j * phase)
+    u = _propagation(azimuth, elevation)
+    if geometry._stack is None:
+        return _phasors(geometry.positions, u)
+    groups, horizontal_row, height_row = geometry._stack
+    phasors = _phasors(groups, u)
+    return phasors[horizontal_row] * phasors[height_row]
 
 
 def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> np.ndarray:

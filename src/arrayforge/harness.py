@@ -23,7 +23,7 @@ from ._version import __version__
 from .array_model import ArrayGeometry
 from .crb_eval import CrbMap, crb_map
 from .fileio import atomic_write_csv, atomic_write_json, load_json
-from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
+from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import DesignTrace, OptimizerConfig, design, random_gaussian_phi
 
 __all__ = [
@@ -171,10 +171,13 @@ def _run_jobs(jobs, worker, parallelism):
 def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     """Evaluate grid SCF error for every (method, rate, seed) job.
 
-    A job that cannot produce a combining matrix (missing external file)
-    yields an error row; the sweep continues.
+    The grid's steering Gram matrix Q is built once and every job scores
+    its matrix against it, as ``grid_scf_error`` does.  A job that cannot
+    produce a combining matrix (missing or malformed external file) yields
+    an error row; the sweep continues.
     """
     channels_at = {rate: channels_for_rate(rate, geometry.element_count) for rate in spec.compression_rates}
+    grid_gram = _steering_gram(geometry, *spec.grid.angles())
 
     job_list = [
         (method, rate, spec.optimizer.seed + offset)
@@ -188,7 +191,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
         row = {"rho": rate, "method": method, "seed": seed, "channels": channels_at[rate]}
         try:
             phi = _sweep_phi(geometry, spec, method, rate, channels_at[rate], seed)
-            row["scf_error"] = grid_scf_error(geometry, phi, spec.grid)
+            row["scf_error"] = _gap_terms(grid_gram, phi)[1]
             row["status"] = "ok"
         except (FileNotFoundError, ValueError) as exc:
             row["scf_error"] = math.nan

@@ -36,6 +36,13 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _require_keys(data: dict, keys, document: str) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` missing from ``data``."""
+    for key in keys:
+        if key not in data:
+            raise ValueError(f'{document} document is missing "{key}"')
+
+
 class CombiningMatrix:
     """M x N complex analog combining weights (M channels, N elements)."""
 
@@ -88,9 +95,7 @@ class CombiningMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CombiningMatrix":
-        for key in ("rows", "cols", "re", "im"):
-            if key not in data:
-                raise ValueError(f'combining matrix document is missing "{key}"')
+        _require_keys(data, ("rows", "cols", "re", "im"), "combining matrix")
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
         shape = (_json_int(data["rows"], "rows"), _json_int(data["cols"], "cols"))
@@ -191,20 +196,31 @@ def _require_compatible(geometry: ArrayGeometry, phi: CombiningMatrix) -> None:
         )
 
 
-def _gram_terms(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevation):
-    """P, P (G - I) and tr(P (G - I) P (G - I)) over the given angles.
+def _steering_gram(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
+    """P = A A^H, the N x N Gram matrix of the steering vectors A of the angle pairs."""
+    a = steering_angles(geometry, azimuth, elevation)
+    return a @ a.conj().T
 
-    P = A A^H is the N x N Gram matrix of the steering vectors A of the
-    angle pairs and G the Gramian of ``phi``.  The trace equals
-    ||A^H (G - I) A||_F^2, the summed squared discrepancy over all ordered
-    pairs of the angles, without forming that L x L matrix.  Steering is
-    evaluated once.
+
+def _gap_terms(p: np.ndarray, phi: CombiningMatrix):
+    """P (G - I) and tr(P (G - I) P (G - I)) for a steering Gram matrix P.
+
+    G is the Gramian of ``phi``.  The trace equals ||A^H (G - I) A||_F^2,
+    the summed squared discrepancy over all ordered pairs of P's angles,
+    without forming that L x L matrix.
+    """
+    p_gap = p @ (phi.gramian() - np.eye(phi.cols))
+    return p_gap, float(np.vdot(p_gap.conj().T, p_gap).real)
+
+
+def _gram_terms(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevation):
+    """P, P (G - I) and the trace of ``_gap_terms`` over the given angles.
+
+    Steering is evaluated once.
     """
     _require_compatible(geometry, phi)
-    a = steering_angles(geometry, azimuth, elevation)
-    p = a @ a.conj().T
-    p_gap = p @ (phi.gramian() - np.eye(geometry.element_count))
-    return p, p_gap, float(np.vdot(p_gap.conj().T, p_gap).real)
+    p = _steering_gram(geometry, azimuth, elevation)
+    return (p, *_gap_terms(p, phi))
 
 
 def scf(geometry: ArrayGeometry, dir1: Direction, dir2: Direction) -> complex:
@@ -258,5 +274,7 @@ def grid_scf_error(geometry: ArrayGeometry, phi: CombiningMatrix, grid: ScfGrid)
 
     Computed as tr(Q (G - I) Q (G - I)) with Q the N x N Gram matrix of the
     grid's steering vectors, so the pair matrix is never formed.
+    ``run_scf_sweep`` builds Q once and scores every job's matrix with
+    ``_gap_terms``.
     """
     return _gram_terms(geometry, phi, *grid.angles())[2]

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry
-from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms, _json_int
+from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms, _json_int, _require_keys
 
 __all__ = [
     "OptimizerConfig",
@@ -75,6 +75,9 @@ class OptimizerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
         integers = ("iterations", "batch_size", "seed", "renormalize_every", "record_every")
+        _require_keys(
+            data, (*integers, "step_size", "drag", "azimuth_range", "elevation_range"), "optimizer config"
+        )
         return cls(
             **{key: _json_int(data[key], key) for key in integers},
             step_size=float(data["step_size"]),
@@ -128,6 +131,7 @@ class DesignTrace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DesignTrace":
+        _require_keys(data, ("costs", "phi", "channels", "config"), "design trace")
         return cls(
             costs=[
                 (_json_int(i, f"costs[{k}][0]"), float(c))

@@ -6,6 +6,7 @@ Fisher matrices), so agreement is meaningful evidence rather than a
 tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,27 @@ from arrayforge import (
     error_e,
     steering,
 )
+
+
+def elementwise_steering(geometry, azimuth, elevation):
+    """Steering matrix A and its (d A / d azimuth, d A / d elevation), N x L each.
+
+    Every entry is its own ``cmath.exp(2j * pi * <p, u>)`` of the element
+    position p and the propagation direction u, with no grouping of
+    elements and no numpy exponential.
+    """
+    shape = (geometry.element_count, len(azimuth))
+    a, d_az, d_el = (np.empty(shape, dtype=complex) for _ in range(3))
+    for k, (az, el) in enumerate(zip(azimuth, elevation)):
+        u = (math.cos(az) * math.sin(el), math.sin(az) * math.sin(el), math.cos(el))
+        du_az = (-math.sin(az) * math.sin(el), math.cos(az) * math.sin(el), 0.0)
+        du_el = (math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), -math.sin(el))
+        for n, p in enumerate(geometry.positions.tolist()):
+            value = cmath.exp(2j * math.pi * sum(pc * uc for pc, uc in zip(p, u)))
+            a[n, k] = value
+            d_az[n, k] = 2j * math.pi * sum(pc * dc for pc, dc in zip(p, du_az)) * value
+            d_el[n, k] = 2j * math.pi * sum(pc * dc for pc, dc in zip(p, du_el)) * value
+    return a, d_az, d_el
 
 
 def finite_difference_gradient(geometry, phi, batch, step=1e-6, normalized=True):

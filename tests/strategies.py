@@ -1,9 +1,10 @@
 """Hypothesis strategies for the SCF and design property tests.
 
-Geometries have at most 8 elements inside a 3-wavelength cube, combining
-matrices are column-normalized Gaussian draws with at most as many
-channels as elements, angle batches hold 1 to 8 directions and grids have
-2 to 4 points per axis.
+Geometries have at most 8 elements inside a 3-wavelength cube; stacked
+geometries repeat 2 to 5 horizontal positions at 2 or 3 heights, in
+shuffled element order.  Combining matrices are column-normalized
+Gaussian draws with at most as many channels as elements, angle batches
+hold 1 to 8 directions and grids have 2 to 4 points per axis.
 """
 
 import math
@@ -20,6 +21,16 @@ seeds = st.integers(0, 2**32 - 1)
 def geometries(draw, max_elements=8):
     n = draw(st.integers(1, max_elements))
     return ArrayGeometry(draw(arrays(float, (n, 3), elements=st.floats(-1.5, 1.5))))
+
+
+@st.composite
+def stacked_geometries(draw, max_positions=5, max_heights=3):
+    """Random horizontal positions, each repeated at every one of random heights."""
+    coordinates = st.floats(-1.5, 1.5)
+    horizontal = draw(arrays(float, (draw(st.integers(2, max_positions)), 2), elements=coordinates))
+    heights = draw(arrays(float, draw(st.integers(2, max_heights)), elements=coordinates))
+    positions = [[x, y, z] for z in heights.tolist() for x, y in horizontal.tolist()]
+    return ArrayGeometry(draw(st.permutations(positions)))
 
 
 @st.composite

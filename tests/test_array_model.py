@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arrayforge import (
     ArrayGeometry,
@@ -11,11 +12,14 @@ from arrayforge import (
     make_suca,
     save_geometry,
     steering,
+    steering_angles,
     steering_batch,
     steering_derivative,
+    steering_derivative_angles,
 )
 from arrayforge import fileio
-from oracles import random_directions, random_geometry
+from oracles import elementwise_steering, random_directions, random_geometry
+from strategies import angle_batches, stacked_geometries
 
 
 class TestMakeSuca:
@@ -211,3 +215,43 @@ class TestSteeringDerivative:
         da, _ = steering_derivative(suca33, d)
         da_mirror, _ = steering_derivative(mirrored, d_mirror)
         assert np.allclose(da_mirror, -da, rtol=0, atol=1e-12)
+
+
+ORACLE_GEOMETRIES = {
+    "suca-3x11": lambda: make_suca(3, 11, 0.5, 0.68),
+    "suca-3x4-on-axis": lambda: make_suca(3, 4, 0.5, 0.0),
+    "single-ring": lambda: make_suca(1, 11, 0.5, 0.68),
+    "single-element": lambda: make_suca(1, 1, 0.5, 0.0),
+    "random-33": lambda: ArrayGeometry(np.random.default_rng(5).uniform(-1.5, 1.5, (33, 3))),
+}
+
+
+class TestSteeringAgainstElementwiseOracle:
+    """Grouped and ungrouped steering against one ``cmath.exp`` per entry."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
+    def test_steering_and_derivatives_match(self, name):
+        geom = ORACLE_GEOMETRIES[name]()
+        rng = np.random.default_rng(6)
+        azimuth = rng.uniform(-math.pi, 3.0 * math.pi, 60)
+        elevation = rng.uniform(0.0, math.pi, 60)
+        expected = elementwise_steering(geom, azimuth, elevation)
+        assert np.max(np.abs(steering_angles(geom, azimuth, elevation) - expected[0])) <= 1e-13
+        for actual, oracle in zip(steering_derivative_angles(geom, azimuth, elevation), expected):
+            assert np.max(np.abs(actual - oracle)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "name, grouped",
+        [("suca-3x11", True), ("suca-3x4-on-axis", True), ("single-ring", False), ("single-element", False), ("random-33", False)],
+    )
+    def test_grouping_follows_the_positions(self, name, grouped):
+        # 11 + 3 and 1 + 3 phasors replace 33 and 12; elsewhere grouping saves nothing.
+        assert (ORACLE_GEOMETRIES[name]()._stack is not None) == grouped
+
+    @settings(deadline=None)
+    @given(geom=stacked_geometries(), batch=angle_batches())
+    def test_stacked_geometries_match(self, geom, batch):
+        expected = elementwise_steering(geom, batch.azimuth, batch.elevation)
+        derived = steering_derivative_angles(geom, batch.azimuth, batch.elevation)
+        for actual, oracle in zip(derived, expected):
+            assert np.max(np.abs(actual - oracle)) <= 1e-13

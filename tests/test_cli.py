@@ -23,6 +23,8 @@ from oracles import random_unitary
 SMALL_GEOM = ["--stacks", "1", "--per-stack", "4", "--spacing-wl", "0.5", "--radius-wl", "0.3"]
 SMALL_GRID = ["--grid-az", "5", "--grid-el", "4", "--el-min", "0.4", "--el-max", "2.7"]
 FAST_DESIGN = ["--iters", "4", "--batch", "5"]
+# Parameter value that stands for a key deleted from a document.
+MISSING = object()
 
 
 def run_design(tmp_path, name="trace.json", extra=()):
@@ -357,10 +359,17 @@ class TestEvaluateScfCommand:
             (("costs", 1, 0), 1.0, "costs[1][0]"),
             (("phi", "rows"), 2.0, "rows"),
             (("phi", "cols"), True, "cols"),
+            (("costs",), MISSING, "costs"),
+            (("channels",), MISSING, "channels"),
+            (("config",), MISSING, "config"),
+            (("config", "seed"), MISSING, "seed"),
+            (("config", "step_size"), MISSING, "step_size"),
+            (("phi", "im"), MISSING, "im"),
         ],
         ids=[
             "seed", "iterations", "batch_size", "renormalize_every", "record_every",
             "channels-float", "channels-not-rows", "cost-iteration", "rows", "cols",
+            "no-costs", "no-channels", "no-config", "no-seed", "no-step_size", "no-im",
         ],
     )
     def test_trace_integer_fields_read_strictly(self, tmp_path, capsys, path, value, key):
@@ -370,7 +379,10 @@ class TestEvaluateScfCommand:
         target = doc
         for part in parents:
             target = target[part]
-        target[last] = value
+        if value is MISSING:
+            del target[last]
+        else:
+            target[last] = value
         trace.write_text(json.dumps(doc))
         out = tmp_path / "scf.csv"
         code = main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), "--out", str(out)])
@@ -451,6 +463,23 @@ class TestSweepCommand:
         rows = read_rows(out / "scf_sweep_results.csv")
         assert rows[1][1] == "external"
         assert float(rows[1][3]) <= 1e-10
+
+    def test_trace_missing_a_key_is_an_error_row(self, tmp_path):
+        trace = run_design(tmp_path)
+        doc = json.loads(trace.read_text())
+        del doc["costs"]
+        trace.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
+                "--methods", "gaussian,external", "--external-phi", f"0.5={trace}", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
+        assert external[1] == "external" and external[5].startswith("error") and '"costs"' in external[5]
+        assert gaussian[1] == "gaussian" and gaussian[5] == "ok"
 
     def test_external_design_trace_scores_like_evaluate_scf(self, tmp_path):
         trace = run_design(tmp_path)
@@ -652,7 +681,7 @@ class TestAtomicWrites:
 class TestEntryPoint:
     def test_module_invocation(self):
         result = subprocess.run(
-            [sys.executable, "-m", "arrayforge", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "arrayforge", "--version"], capture_output=True, text=True, env=_package_env()
         )
         assert result.returncode == 0
         assert "arrayforge" in result.stdout

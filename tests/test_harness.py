@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from arrayforge import (
     ScfGrid,
     SweepSpec,
     channels_for_rate,
+    design,
+    grid_scf_error,
     make_suca,
+    random_gaussian_phi,
     run_crb_experiment,
     run_scf_sweep,
     write_crb_report,
@@ -117,6 +121,28 @@ class TestScfSweep:
         r1 = run_scf_sweep(small_geometry, small_spec(), jobs=1)
         r4 = run_scf_sweep(small_geometry, small_spec(), jobs=4)
         assert r1.rows == r4.rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_equal_grid_scf_error_of_their_matrix(self, tmp_path, jobs):
+        # The sweep builds the grid Gram once; each row must still be grid_scf_error's value.
+        geometry = make_suca(2, 3, 0.5, 0.4)
+        external = random_gaussian_phi(3, 6, 99)
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(external.to_dict()))
+        spec = small_spec(
+            compression_rates=(0.5,),
+            methods=("gaussian", "sgd", "external"),
+            external_phi_paths={"0.5": str(path)},
+        )
+        rows = run_scf_sweep(geometry, spec, jobs=jobs).rows
+        assert len(rows) == 6 and all(row["status"] == "ok" for row in rows)
+        for row in rows:
+            phi = {
+                "gaussian": lambda: random_gaussian_phi(3, 6, row["seed"]),
+                "sgd": lambda: design(geometry, 3, replace(spec.optimizer, seed=row["seed"])).final_phi,
+                "external": lambda: external,
+            }[row["method"]]()
+            assert row["scf_error"] == grid_scf_error(geometry, phi, spec.grid)
 
     def test_sgd_seeds_pair_with_gaussian_baseline(self, small_geometry):
         # seed column records the per-job seed derived from the optimizer seed
