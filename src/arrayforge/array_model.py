@@ -20,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_json, load_json
+from .fileio import _json_numbers, _require_keys, atomic_write_json, load_json
 
 __all__ = [
     "ArrayGeometry",
     "Direction",
     "make_suca",
-    "steering",
     "steering_angles",
     "steering_batch",
     "steering_derivative",
@@ -94,9 +93,8 @@ class ArrayGeometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrayGeometry":
-        if not isinstance(data, dict) or "positions" not in data:
-            raise ValueError('geometry document must contain a "positions" key')
-        return cls(data["positions"])
+        _require_keys(data, ("positions",), "geometry")
+        return cls(_json_numbers(data["positions"], "positions"))
 
 
 def make_suca(stacks: int, per_stack: int, spacing: float, radius: float) -> ArrayGeometry:
@@ -160,11 +158,6 @@ def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> 
     return steering_angles(
         geometry, [d.azimuth for d in directions], [d.elevation for d in directions]
     )
-
-
-def steering(geometry: ArrayGeometry, direction: Direction) -> np.ndarray:
-    """Complex response of all elements to a unit plane wave from ``direction``."""
-    return steering_angles(geometry, [direction.azimuth], [direction.elevation])[:, 0]
 
 
 def steering_derivative_angles(geometry: ArrayGeometry, azimuth, elevation):

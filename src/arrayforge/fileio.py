@@ -5,7 +5,8 @@ the target, and rename it into place, so an interrupted run never leaves
 a truncated artifact behind.  Output is canonical (sorted JSON keys, LF
 line endings, repr floats) so identical inputs produce identical bytes.
 This module owns the CSV cell format: callers pass Python scalars and
-never encode cells themselves.
+never encode cells themselves.  Document readers check each value with
+``_require_keys``, ``_json_value`` and ``_json_numbers``, which name the key.
 """
 
 from __future__ import annotations
@@ -65,3 +66,40 @@ def atomic_write_csv(path, header, rows) -> Path:
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# JSON kind -> (its name, the Python types that hold it); a tuple passes as
+# a list so that a document's to_dict() form reads back.
+_JSON_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+               list: ("a list", (list, tuple)), dict: ("an object", dict)}
+
+
+def _require_keys(data, keys, document: str) -> None:
+    """Raise ``ValueError`` unless ``data`` is a JSON object holding all of ``keys``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{document} document must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f'{document} document is missing "{key}"')
+
+
+def _json_value(value, key: str, kind: type):
+    """``value``, read from document key ``key``, if it is of JSON type ``kind``.
+
+    ``kind`` is int, float (any JSON number, returned as a float), list or
+    dict; a boolean is neither an integer nor a number.
+    """
+    name, types = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f'"{key}" must be {name}, got {value!r}')
+    return float(value) if kind is float else value
+
+
+def _json_numbers(value, key: str):
+    """``value``, read from document key ``key``, if it is a number or nested lists of numbers."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _json_numbers(item, key)
+    else:
+        _json_value(value, key, float)
+    return value

@@ -127,10 +127,12 @@ class ExperimentReport:
 def _load_phi_document(path) -> tuple:
     """Read a bare combining-matrix JSON or a design-trace JSON.
 
-    Returns the matrix and the trace it came from (None for a bare matrix).
+    A document with any of the trace keys "phi", "costs" or "config" is
+    read as a trace.  Returns the matrix and the trace it came from (None
+    for a bare matrix).
     """
     data = load_json(path)
-    if isinstance(data, dict) and "phi" in data:
+    if isinstance(data, dict) and not data.keys().isdisjoint(("phi", "costs", "config")):
         trace = DesignTrace.from_dict(data)
         return trace.final_phi, trace
     return CombiningMatrix.from_dict(data), None

@@ -13,34 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Direction, steering, steering_angles
-from .fileio import load_json
+from .array_model import ArrayGeometry, Direction, steering_angles
+from .fileio import _json_numbers, _json_value, _require_keys, load_json
 
 __all__ = [
     "AngleBatch",
     "CombiningMatrix",
     "ScfGrid",
-    "scf",
-    "effective_scf",
-    "error_e",
     "error_matrix",
     "batch_cost",
     "grid_scf_error",
 ]
-
-
-def _json_int(value, key: str) -> int:
-    """``value``, read from document key ``key``, if it is a JSON integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f'"{key}" must be an integer, got {value!r}')
-    return value
-
-
-def _require_keys(data: dict, keys, document: str) -> None:
-    """Raise ``ValueError`` naming the first of ``keys`` missing from ``data``."""
-    for key in keys:
-        if key not in data:
-            raise ValueError(f'{document} document is missing "{key}"')
 
 
 class CombiningMatrix:
@@ -96,9 +79,9 @@ class CombiningMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "CombiningMatrix":
         _require_keys(data, ("rows", "cols", "re", "im"), "combining matrix")
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
-        shape = (_json_int(data["rows"], "rows"), _json_int(data["cols"], "cols"))
+        re = np.array(_json_numbers(data["re"], "re"), dtype=float)
+        im = np.array(_json_numbers(data["im"], "im"), dtype=float)
+        shape = (_json_value(data["rows"], "rows", int), _json_value(data["cols"], "cols", int))
         if re.shape != shape or im.shape != shape:
             raise ValueError("re/im blocks do not match the declared rows x cols")
         return cls(re + 1j * im)
@@ -221,28 +204,6 @@ def _gram_terms(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevatio
     _require_compatible(geometry, phi)
     p = _steering_gram(geometry, azimuth, elevation)
     return (p, *_gap_terms(p, phi))
-
-
-def scf(geometry: ArrayGeometry, dir1: Direction, dir2: Direction) -> complex:
-    """Spatial correlation a(dir1)^H a(dir2) of the uncompressed array."""
-    return complex(np.vdot(steering(geometry, dir1), steering(geometry, dir2)))
-
-
-def effective_scf(
-    geometry: ArrayGeometry, phi: CombiningMatrix, dir1: Direction, dir2: Direction
-) -> complex:
-    """Spatial correlation a(dir1)^H Phi^H Phi a(dir2) of the compressed array."""
-    _require_compatible(geometry, phi)
-    a1 = steering(geometry, dir1)
-    a2 = steering(geometry, dir2)
-    return complex(a1.conj() @ phi.gramian() @ a2)
-
-
-def error_e(
-    geometry: ArrayGeometry, phi: CombiningMatrix, dir1: Direction, dir2: Direction
-) -> complex:
-    """Pointwise discrepancy between compressed and uncompressed correlation."""
-    return effective_scf(geometry, phi, dir1, dir2) - scf(geometry, dir1, dir2)
 
 
 def error_matrix(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -> np.ndarray:

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .array_model import ArrayGeometry
-from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms, _json_int, _require_keys
+from .fileio import _json_value, _require_keys
+from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms
 
 __all__ = [
     "OptimizerConfig",
@@ -29,8 +30,7 @@ __all__ = [
 
 
 def _check_range(name: str, bounds) -> None:
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+    if not (len(bounds) == 2 and all(map(math.isfinite, bounds)) and bounds[0] <= bounds[1]):
         raise ValueError(f"{name} must be a finite (low, high) pair with low <= high")
 
 
@@ -75,15 +75,16 @@ class OptimizerConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
         integers = ("iterations", "batch_size", "seed", "renormalize_every", "record_every")
-        _require_keys(
-            data, (*integers, "step_size", "drag", "azimuth_range", "elevation_range"), "optimizer config"
-        )
+        ranges = ("azimuth_range", "elevation_range")
+        _require_keys(data, (*integers, "step_size", "drag", *ranges), "optimizer config")
         return cls(
-            **{key: _json_int(data[key], key) for key in integers},
-            step_size=float(data["step_size"]),
-            drag=float(data["drag"]),
-            azimuth_range=tuple(data["azimuth_range"]),
-            elevation_range=tuple(data["elevation_range"]),
+            **{key: _json_value(data[key], key, int) for key in integers},
+            step_size=_json_value(data["step_size"], "step_size", float),
+            drag=_json_value(data["drag"], "drag", float),
+            **{
+                key: tuple(_json_value(bound, key, float) for bound in _json_value(data[key], key, list))
+                for key in ranges
+            },
         )
 
 
@@ -132,14 +133,17 @@ class DesignTrace:
     @classmethod
     def from_dict(cls, data: dict) -> "DesignTrace":
         _require_keys(data, ("costs", "phi", "channels", "config"), "design trace")
+        costs = _json_value(data["costs"], "costs", list)
+        if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in costs):
+            raise ValueError('"costs" must be a list of [iteration, cost] pairs')
         return cls(
             costs=[
-                (_json_int(i, f"costs[{k}][0]"), float(c))
-                for k, (i, c) in enumerate(data["costs"])
+                (_json_value(i, f"costs[{k}][0]", int), _json_value(c, f"costs[{k}][1]", float))
+                for k, (i, c) in enumerate(costs)
             ],
-            final_phi=CombiningMatrix.from_dict(data["phi"]),
-            channels=_json_int(data["channels"], "channels"),
-            config=OptimizerConfig.from_dict(data["config"]),
+            final_phi=CombiningMatrix.from_dict(_json_value(data["phi"], "phi", dict)),
+            channels=_json_value(data["channels"], "channels", int),
+            config=OptimizerConfig.from_dict(_json_value(data["config"], "config", dict)),
         )
 
 

@@ -1,9 +1,12 @@
 """Independent brute-force oracles used across the test suite.
 
 Each oracle recomputes a quantity along a path deliberately different
-from the library implementation (scalar loops, finite differences, full
-Fisher matrices), so agreement is meaningful evidence rather than a
-tautology.
+from the library implementation (per-entry exponentials, scalar loops,
+finite differences, full Fisher matrices), so agreement is meaningful
+evidence rather than a tautology.  Every steering vector comes from
+``elementwise_steering``; oracles read only a geometry's ``positions``,
+a matrix's ``entries`` and the angle fields of batches, grids and
+scenarios, and import no function from the package.
 """
 
 import cmath
@@ -15,12 +18,8 @@ from arrayforge import (
     CONDITION_LIMIT,
     AngleBatch,
     ArrayGeometry,
-    CombiningMatrix,
     Direction,
     RankDeficientSteeringError,
-    batch_cost,
-    error_e,
-    steering,
 )
 
 
@@ -31,13 +30,14 @@ def elementwise_steering(geometry, azimuth, elevation):
     position p and the propagation direction u, with no grouping of
     elements and no numpy exponential.
     """
-    shape = (geometry.element_count, len(azimuth))
+    positions = geometry.positions.tolist()
+    shape = (len(positions), len(azimuth))
     a, d_az, d_el = (np.empty(shape, dtype=complex) for _ in range(3))
     for k, (az, el) in enumerate(zip(azimuth, elevation)):
         u = (math.cos(az) * math.sin(el), math.sin(az) * math.sin(el), math.cos(el))
         du_az = (-math.sin(az) * math.sin(el), math.cos(az) * math.sin(el), 0.0)
         du_el = (math.cos(az) * math.cos(el), math.sin(az) * math.cos(el), -math.sin(el))
-        for n, p in enumerate(geometry.positions.tolist()):
+        for n, p in enumerate(positions):
             value = cmath.exp(2j * math.pi * sum(pc * uc for pc, uc in zip(p, u)))
             a[n, k] = value
             d_az[n, k] = 2j * math.pi * sum(pc * dc for pc, dc in zip(p, du_az)) * value
@@ -45,13 +45,31 @@ def elementwise_steering(geometry, azimuth, elevation):
     return a, d_az, d_el
 
 
+def steering_columns(geometry, azimuth, elevation):
+    """The columns of ``elementwise_steering``'s A, one 1-D array per direction."""
+    return list(elementwise_steering(geometry, azimuth, elevation)[0].T)
+
+
+def pair_error(entries, a1, a2):
+    """Compressed minus uncompressed correlation (Phi a1)^H (Phi a2) - a1^H a2."""
+    return complex(np.vdot(entries @ a1, entries @ a2) - np.vdot(a1, a2))
+
+
 def finite_difference_gradient(geometry, phi, batch, step=1e-6, normalized=True):
-    """Central differences of the single-batch cost over Re/Im of every entry."""
+    """Central differences of the single-batch cost over Re/Im of every entry.
+
+    The cost is the pair-matrix form ||(Phi A)^H (Phi A) - A^H A||_F^2 / L^2
+    (without the division when ``normalized`` is false), with A evaluated
+    once per call.
+    """
     base = phi.entries
-    scale = 1.0 if normalized else float(batch.size**2)
+    a = elementwise_steering(geometry, batch.azimuth, batch.elevation)[0]
+    uncompressed = a.conj().T @ a
+    scale = float(a.shape[1] ** 2) if normalized else 1.0
 
     def cost(mat):
-        return batch_cost(geometry, CombiningMatrix(mat), [batch]) * scale
+        b = mat @ a
+        return float(np.sum(np.abs(b.conj().T @ b - uncompressed) ** 2)) / scale
 
     out = np.zeros_like(base)
     for m in range(base.shape[0]):
@@ -65,43 +83,51 @@ def finite_difference_gradient(geometry, phi, batch, step=1e-6, normalized=True)
 
 
 def quadruple_loop_cost(geometry, phi, batches):
-    """The stochastic cost as its literal scalar quadruple sum."""
+    """The stochastic cost as its literal scalar sum over batches and angle pairs."""
     total = 0.0
     for batch in batches:
-        for d1 in batch.dirs:
-            for d2 in batch.dirs:
-                total += abs(error_e(geometry, phi, d1, d2)) ** 2 / batch.size**2
+        cols = steering_columns(geometry, batch.azimuth, batch.elevation)
+        for a1 in cols:
+            for a2 in cols:
+                total += abs(pair_error(phi.entries, a1, a2)) ** 2 / len(cols) ** 2
     return total / len(batches)
 
 
 def scalar_error_matrix(geometry, phi, batch):
     """The batch error matrix built one scalar evaluation at a time."""
-    size = batch.size
-    out = np.zeros((size, size), dtype=complex)
-    for i, d1 in enumerate(batch.dirs):
-        for j, d2 in enumerate(batch.dirs):
-            out[i, j] = error_e(geometry, phi, d1, d2)
+    cols = steering_columns(geometry, batch.azimuth, batch.elevation)
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    for i, a1 in enumerate(cols):
+        for j, a2 in enumerate(cols):
+            out[i, j] = pair_error(phi.entries, a1, a2)
     return out
 
 
 def elementwise_error(geometry, phi, dir1, dir2):
     """The discrepancy e as an explicit double sum over element pairs."""
-    a1 = steering(geometry, dir1)
-    a2 = steering(geometry, dir2)
-    gap = phi.gramian() - np.eye(geometry.element_count)
+    a1, a2 = steering_columns(
+        geometry, [dir1.azimuth, dir2.azimuth], [dir1.elevation, dir2.elevation]
+    )
+    entries = phi.entries
+    gap = entries.conj().T @ entries - np.eye(entries.shape[1])
     total = 0.0 + 0.0j
-    for p in range(geometry.element_count):
-        for q in range(geometry.element_count):
+    for p in range(len(a1)):
+        for q in range(len(a2)):
             total += np.conj(a1[p]) * gap[p, q] * a2[q]
     return total
 
 
 def bruteforce_grid_error(geometry, phi, grid):
-    """Grid SCF error as an exhaustive sum over ordered grid-point pairs."""
-    dirs = grid.directions()
-    terms = [
-        abs(error_e(geometry, phi, d1, d2)) ** 2 for d1 in dirs for d2 in dirs
-    ]
+    """Grid SCF error as an exhaustive sum over ordered grid-point pairs.
+
+    Points run azimuth-major over the endpoint-inclusive axes.
+    """
+    azimuths = np.linspace(*grid.azimuth_range, grid.azimuth_count)
+    elevations = np.linspace(*grid.elevation_range, grid.elevation_count)
+    cols = steering_columns(
+        geometry, np.repeat(azimuths, len(elevations)), np.tile(elevations, len(azimuths))
+    )
+    terms = [abs(pair_error(phi.entries, a1, a2)) ** 2 for a1 in cols for a2 in cols]
     return math.fsum(terms)
 
 
@@ -120,12 +146,8 @@ def numerical_fim_crb(geometry, scenario, step=1e-6):
     def compress(matrix):
         return matrix if phi is None else phi.entries @ matrix
 
-    def mean_vector(angles):
-        cols = [
-            steering(geometry, Direction(angles[s], angles[count + s]))
-            for s in range(count)
-        ]
-        return compress(np.column_stack(cols)) @ amplitudes
+    def steering_matrix(angles):
+        return compress(elementwise_steering(geometry, angles[:count], angles[count:])[0])
 
     angles0 = np.array(
         [d.azimuth for d in sources] + [d.elevation for d in sources]
@@ -136,11 +158,13 @@ def numerical_fim_crb(geometry, scenario, step=1e-6):
         minus = angles0.copy()
         plus[i] += step
         minus[i] -= step
-        derivatives.append((mean_vector(plus) - mean_vector(minus)) / (2.0 * step))
+        derivatives.append(
+            (steering_matrix(plus) @ amplitudes - steering_matrix(minus) @ amplitudes) / (2.0 * step)
+        )
+    columns = steering_matrix(angles0)
     for s in range(count):
-        column = compress(steering(geometry, sources[s]))
-        derivatives.append(column)
-        derivatives.append(1j * column)
+        derivatives.append(columns[:, s])
+        derivatives.append(1j * columns[:, s])
     jac = np.column_stack(derivatives)
     fim = (2.0 / scenario.noise_variance) * np.real(jac.conj().T @ jac)
     covariance = np.linalg.inv(fim)

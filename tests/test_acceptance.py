@@ -47,11 +47,11 @@ from arrayforge import (
     gradient,
     grid_scf_error,
     random_gaussian_phi,
-    steering,
 )
 from arrayforge.cli import main as cli_main
 from oracles import (
     batch_of,
+    elementwise_steering,
     finite_difference_gradient,
     max_relative_error,
     numerical_fim_crb,
@@ -224,7 +224,7 @@ def test_criterion_6_crb_correctness(suca33):
         oracle = numerical_fim_crb(suca33, scenario)
         worst_oracle = max(worst_oracle, abs(mine - oracle) / abs(oracle))
 
-        cols = np.column_stack([steering(suca33, d) for d in dirs])
+        cols = elementwise_steering(suca33, az, el)[0]
         if phi is not None:
             cols = phi.entries @ cols
         proj = orthogonal_complement_projector(cols)

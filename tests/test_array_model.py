@@ -11,7 +11,6 @@ from arrayforge import (
     load_geometry,
     make_suca,
     save_geometry,
-    steering,
     steering_angles,
     steering_batch,
     steering_derivative,
@@ -82,6 +81,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry.from_dict({"points": []})
 
+    @pytest.mark.parametrize("coordinate", ["0.5", True, None])
+    def test_from_dict_reads_numbers_strictly(self, coordinate):
+        with pytest.raises(ValueError, match='"positions"'):
+            ArrayGeometry.from_dict({"positions": [[0.0, coordinate, 0.0]]})
+
     def test_document_format(self, tmp_path):
         path = tmp_path / "geometry.json"
         save_geometry(make_suca(1, 2, 0.5, 0.1), path)
@@ -112,39 +116,38 @@ class TestDirection:
             Direction(0.0, math.inf)
 
 
+def angles_of(directions):
+    """Azimuth and elevation arrays of a sequence of Direction objects."""
+    return [d.azimuth for d in directions], [d.elevation for d in directions]
+
+
 class TestSteering:
     def test_unit_magnitude_everywhere(self, suca33):
         rng = np.random.default_rng(0)
-        for d in random_directions(rng, 25, elevation=(0.0, math.pi)):
-            a = steering(suca33, d)
-            assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-12
+        a = steering_angles(suca33, *angles_of(random_directions(rng, 25, elevation=(0.0, math.pi))))
+        assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-12
 
     def test_self_correlation_is_element_count(self, suca33):
-        d = Direction(0.7, 1.1)
-        a = steering(suca33, d)
+        a = steering_angles(suca33, [0.7], [1.1])[:, 0]
         value = complex(np.vdot(a, a))
         assert abs(value - 33.0) / 33.0 <= 1e-10
 
     def test_single_element_at_origin_is_one(self):
         geom = make_suca(1, 1, 0.5, 0.0)
-        a = steering(geom, Direction(2.1, 0.4))
-        assert a.shape == (1,)
-        assert a[0] == pytest.approx(1.0 + 0.0j)
+        a = steering_angles(geom, [2.1], [0.4])
+        assert a.shape == (1, 1)
+        assert a[0, 0] == pytest.approx(1.0 + 0.0j)
 
     def test_azimuth_periodicity(self, suca33):
-        d1 = Direction(0.37, 1.2)
-        d2 = Direction(0.37 + 2.0 * math.pi, 1.2)
-        a1 = steering(suca33, d1)
-        a2 = steering(suca33, d2)
-        assert np.max(np.abs(a1 - a2)) <= 1e-10
+        a = steering_angles(suca33, [0.37, 0.37 + 2.0 * math.pi], [1.2, 1.2])
+        assert np.max(np.abs(a[:, 0] - a[:, 1])) <= 1e-10
 
 
 class TestSteeringBatch:
-    def test_single_column_matches_steering(self, suca33):
-        d = Direction(1.0, 0.9)
-        batch = steering_batch(suca33, [d])
-        assert batch.shape == (33, 1)
-        assert np.array_equal(batch[:, 0], steering(suca33, d))
+    def test_matches_steering_angles_columns(self, suca33):
+        rng = np.random.default_rng(3)
+        dirs = random_directions(rng, 7)
+        assert np.array_equal(steering_batch(suca33, dirs), steering_angles(suca33, *angles_of(dirs)))
 
     def test_paper_batch_shape_and_magnitudes(self, suca33):
         rng = np.random.default_rng(1)
@@ -164,7 +167,8 @@ class TestSteeringBatch:
         dirs = random_directions(rng, 7)
         a = steering_batch(suca33, dirs)
         for k, d in enumerate(dirs):
-            assert np.allclose(a[:, k], steering(suca33, d), rtol=0, atol=1e-14)
+            single = steering_angles(suca33, [d.azimuth], [d.elevation])[:, 0]
+            assert np.allclose(a[:, k], single, rtol=0, atol=1e-14)
 
     def test_empty_batch_rejected(self, suca33):
         with pytest.raises(ValueError):
@@ -173,15 +177,8 @@ class TestSteeringBatch:
 
 def _fd_derivative(geometry, direction, step=1e-6):
     az, el = direction.azimuth, direction.elevation
-    d_az = (
-        steering(geometry, Direction(az + step, el))
-        - steering(geometry, Direction(az - step, el))
-    ) / (2 * step)
-    d_el = (
-        steering(geometry, Direction(az, el + step))
-        - steering(geometry, Direction(az, el - step))
-    ) / (2 * step)
-    return d_az, d_el
+    a = steering_angles(geometry, [az + step, az - step, az, az], [el, el, el + step, el - step])
+    return (a[:, 0] - a[:, 1]) / (2 * step), (a[:, 2] - a[:, 3]) / (2 * step)
 
 
 class TestSteeringDerivative:
@@ -207,6 +204,12 @@ class TestSteeringDerivative:
                 scale = max(1.0, float(np.max(np.abs(an))))
                 denom = np.maximum(np.abs(an), 1e-3 * scale)
                 assert np.max(np.abs(fd - an) / denom) <= 1e-6
+
+    def test_matches_steering_derivative_angles_columns(self, suca33):
+        for d in random_directions(np.random.default_rng(8), 5):
+            _, d_az, d_el = steering_derivative_angles(suca33, [d.azimuth], [d.elevation])
+            pair = steering_derivative(suca33, d)
+            assert np.array_equal(pair[0], d_az[:, 0]) and np.array_equal(pair[1], d_el[:, 0])
 
     def test_azimuth_derivative_mirror_symmetry(self, suca33):
         mirrored = ArrayGeometry(suca33.positions * np.array([1.0, -1.0, 1.0]))

@@ -365,11 +365,26 @@ class TestEvaluateScfCommand:
             (("config", "seed"), MISSING, "seed"),
             (("config", "step_size"), MISSING, "step_size"),
             (("phi", "im"), MISSING, "im"),
+            (("phi",), MISSING, "phi"),
+            (("config",), 5, "config"),
+            (("costs",), 5, "costs"),
+            (("costs", 1), 5, "costs"),
+            (("costs", 1, 1), "0.5", "costs[1][1]"),
+            (("phi",), [], "phi"),
+            (("config", "azimuth_range"), "ab", "azimuth_range"),
+            (("config", "elevation_range", 1), "2.0", "elevation_range"),
+            (("config", "step_size"), "0.5", "step_size"),
+            (("config", "drag"), False, "drag"),
+            (("phi", "re", 0, 0), "1", "re"),
+            (("phi", "im", 0, 0), True, "im"),
         ],
         ids=[
             "seed", "iterations", "batch_size", "renormalize_every", "record_every",
             "channels-float", "channels-not-rows", "cost-iteration", "rows", "cols",
             "no-costs", "no-channels", "no-config", "no-seed", "no-step_size", "no-im",
+            "no-phi", "config-number", "costs-number", "cost-entry-number", "cost-value-string",
+            "phi-list", "range-string", "range-bound-string", "step_size-string", "drag-bool",
+            "re-string", "im-bool",
         ],
     )
     def test_trace_integer_fields_read_strictly(self, tmp_path, capsys, path, value, key):
@@ -480,6 +495,23 @@ class TestSweepCommand:
         external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
         assert external[1] == "external" and external[5].startswith("error") and '"costs"' in external[5]
         assert gaussian[1] == "gaussian" and gaussian[5] == "ok"
+
+    def test_trace_of_wrong_json_type_is_an_error_row(self, tmp_path):
+        trace = run_design(tmp_path)
+        doc = json.loads(trace.read_text())
+        doc["config"] = 5
+        trace.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
+                "--methods", "gaussian,external", "--external-phi", f"0.5={trace}", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
+        assert external[5].startswith("error") and '"config"' in external[5]
+        assert gaussian[5] == "ok"
 
     def test_external_design_trace_scores_like_evaluate_scf(self, tmp_path):
         trace = run_design(tmp_path)

@@ -1,5 +1,7 @@
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import arrayforge
 from arrayforge import array_model, crb_eval, harness, scf_objective, sgd_designer
@@ -52,6 +54,25 @@ def test_only_fileio_reads_and_writes_files():
         if found:
             offenders[path.stem] = found
     assert offenders == {}
+
+
+def test_oracles_import_no_function_from_the_package():
+    # Oracles recompute what the library computes, so they may borrow its
+    # classes, exceptions and constants but none of its routines.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "arrayforge" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "arrayforge":
+            module = importlib.import_module(node.module)
+            imported.update((alias.name, getattr(module, alias.name)) for alias in node.names)
+    routines = sorted(
+        name
+        for name, value in imported.items()
+        if not isinstance(value, type) and (callable(value) or isinstance(value, ModuleType))
+    )
+    assert imported and routines == []
 
 
 def test_crb_eval_only_computes():

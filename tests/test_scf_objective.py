@@ -13,13 +13,10 @@ from arrayforge import (
     Direction,
     ScfGrid,
     batch_cost,
-    effective_scf,
-    error_e,
     error_matrix,
     grid_scf_error,
     random_gaussian_phi,
-    scf,
-    steering,
+    steering_angles,
 )
 from oracles import (
     batch_of,
@@ -128,74 +125,6 @@ class TestAngleBatchAndGrid:
         assert [Direction(a, e) for a, e in zip(azimuth, elevation)] == grid.directions()
 
 
-class TestScf:
-    def test_equal_directions_give_element_count(self, suca33):
-        d = Direction(0.2, 1.3)
-        value = scf(suca33, d, d)
-        assert abs(value - 33.0) <= 33.0 * 1e-10
-
-    def test_hermitian_symmetry(self, suca33):
-        d1, d2 = Direction(0.4, 1.0), Direction(2.2, 0.7)
-        assert scf(suca33, d1, d2) == pytest.approx(np.conj(scf(suca33, d2, d1)))
-
-    def test_matches_explicit_element_sum(self, suca33):
-        d1, d2 = Direction(1.1, 0.8), Direction(5.3, 2.0)
-        a1 = steering(suca33, d1)
-        a2 = steering(suca33, d2)
-        explicit = sum(np.conj(a1[n]) * a2[n] for n in range(33))
-        assert scf(suca33, d1, d2) == pytest.approx(explicit, rel=1e-12)
-
-
-class TestEffectiveScf:
-    def test_unitary_square_phi_reduces_to_scf(self, suca33):
-        phi = unitary_phi(33)
-        d1, d2 = Direction(0.6, 1.4), Direction(1.9, 1.0)
-        assert abs(effective_scf(suca33, phi, d1, d2) - scf(suca33, d1, d2)) <= 33 * 1e-10
-
-    def test_zero_phi_gives_zero(self, suca33):
-        phi = CombiningMatrix(np.zeros((4, 33)))
-        assert effective_scf(suca33, phi, Direction(0.1, 1.0), Direction(0.2, 1.1)) == 0.0
-
-    def test_matches_two_step_compressed_inner_product(self):
-        rng = np.random.default_rng(7)
-        geom = ArrayGeometry(rng.uniform(-1, 1, (4, 3)))
-        phi = CombiningMatrix(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-        d1, d2 = random_directions(rng, 2)
-        b1 = phi.entries @ steering(geom, d1)
-        b2 = phi.entries @ steering(geom, d2)
-        assert effective_scf(geom, phi, d1, d2) == pytest.approx(complex(np.vdot(b1, b2)), rel=1e-12)
-
-    def test_dimension_mismatch_rejected(self, suca33):
-        phi = CombiningMatrix(np.ones((2, 4)))
-        with pytest.raises(ValueError):
-            effective_scf(suca33, phi, Direction(0, 1), Direction(0, 1))
-
-
-class TestErrorE:
-    def test_unitary_square_phi_gives_zero(self, suca33):
-        phi = unitary_phi(33, seed=1)
-        assert abs(error_e(suca33, phi, Direction(0.5, 1.2), Direction(1.5, 0.9))) <= 33 * 1e-10
-
-    def test_equal_directions_value_is_real(self, suca33):
-        phi = random_gaussian_phi(13, 33, 8)
-        d = Direction(0.9, 1.1)
-        value = error_e(suca33, phi, d, d)
-        a = steering(suca33, d)
-        expected = np.real(a.conj() @ phi.gramian() @ a) - 33.0
-        assert abs(value.imag) <= 1e-9
-        assert value.real == pytest.approx(expected, rel=1e-10)
-
-    def test_matches_elementwise_expansion(self):
-        rng = np.random.default_rng(9)
-        geom = random_geometry(rng)
-        m = int(rng.integers(1, geom.element_count + 1))
-        phi = random_gaussian_phi(m, geom.element_count, rng)
-        d1, d2 = random_directions(rng, 2)
-        assert error_e(geom, phi, d1, d2) == pytest.approx(
-            elementwise_error(geom, phi, d1, d2), rel=1e-10, abs=1e-12
-        )
-
-
 class TestErrorMatrix:
     def test_unitary_square_phi_gives_zero_matrix(self, suca33):
         rng = np.random.default_rng(10)
@@ -203,12 +132,41 @@ class TestErrorMatrix:
         e = error_matrix(suca33, unitary_phi(33, seed=2), batch)
         assert np.max(np.abs(e)) <= 1e-10
 
-    def test_single_direction_matches_scalar(self, suca33):
+    def test_zero_phi_diagonal_is_minus_element_count(self, suca33):
+        batch = batch_of(random_directions(np.random.default_rng(13), 4))
+        e = error_matrix(suca33, CombiningMatrix(np.zeros((4, 33))), batch)
+        assert np.max(np.abs(np.diag(e) + 33.0)) <= 33.0 * 1e-10
+
+    def test_diagonal_is_real_compressed_power_minus_element_count(self, suca33):
+        phi = random_gaussian_phi(13, 33, 8)
+        batch = batch_of(random_directions(np.random.default_rng(16), 5))
+        diagonal = np.diag(error_matrix(suca33, phi, batch))
+        a = steering_angles(suca33, batch.azimuth, batch.elevation)
+        expected = np.sum(np.abs(phi.entries @ a) ** 2, axis=0) - 33.0
+        assert np.max(np.abs(diagonal.imag)) <= 1e-9
+        assert max_relative_error(diagonal.real, expected) <= 1e-10
+
+    def test_single_direction_matches_elementwise_expansion(self, suca33):
         phi = random_gaussian_phi(5, 33, 11)
         d = Direction(0.3, 1.5)
         e = error_matrix(suca33, phi, batch_of((d,)))
         assert e.shape == (1, 1)
-        assert e[0, 0] == pytest.approx(error_e(suca33, phi, d, d), rel=1e-12)
+        assert e[0, 0] == pytest.approx(elementwise_error(suca33, phi, d, d), rel=1e-12)
+
+    def test_matches_elementwise_expansion(self):
+        rng = np.random.default_rng(9)
+        geom = random_geometry(rng)
+        m = int(rng.integers(1, geom.element_count + 1))
+        phi = random_gaussian_phi(m, geom.element_count, rng)
+        d1, d2 = random_directions(rng, 2)
+        assert error_matrix(geom, phi, batch_of((d1, d2)))[0, 1] == pytest.approx(
+            elementwise_error(geom, phi, d1, d2), rel=1e-10, abs=1e-12
+        )
+
+    def test_dimension_mismatch_rejected(self, suca33):
+        phi = CombiningMatrix(np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            error_matrix(suca33, phi, batch_of((Direction(0, 1),)))
 
     def test_entries_match_scalar_error(self):
         rng = np.random.default_rng(12)
@@ -237,7 +195,7 @@ class TestBatchCost:
         phi = random_gaussian_phi(7, 33, 15)
         d = Direction(1.2, 0.8)
         cost = batch_cost(suca33, phi, [batch_of((d,))])
-        assert cost == pytest.approx(abs(error_e(suca33, phi, d, d)) ** 2, rel=1e-12)
+        assert cost == pytest.approx(abs(error_matrix(suca33, phi, batch_of((d,)))[0, 0]) ** 2, rel=1e-12)
 
     @settings(deadline=None)
     @given(instance=scf_instances(), more=st.lists(angle_batches(), max_size=2))
