@@ -278,9 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path_text: str) -> dict:
-    path = Path(path_text)
-    if not path.is_file():
-        raise CliError(f"config file not found: {path}")
+    path = _require_file("config", path_text)
     try:
         data = load_json(path)
     except Exception as exc:

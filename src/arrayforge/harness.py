@@ -51,10 +51,6 @@ def channels_for_rate(rate: float, elements: int) -> int:
     return m
 
 
-def _same_rate(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One SCF-error sweep: rates x seeds x methods on a fixed grid.
@@ -63,9 +59,10 @@ class SweepSpec:
     the sgd run with seed s starts from the identical Gaussian draw as the
     gaussian baseline with seed s, so the comparison is paired.
     ``external_phi_paths`` maps rate keys (text) to combining-matrix or
-    design-trace files; no two keys may name the same rate, every key must
-    name one of ``compression_rates``, and keys need "external" among
-    ``methods``, so that no given file goes unread.
+    design-trace files.  Each key is resolved here, once: ``float(key)``
+    must equal one of ``compression_rates`` exactly, no two keys may name
+    the same rate, and keys need "external" among ``methods``, so that no
+    given file goes unread.  ``to_dict`` keeps the key text.
     """
 
     compression_rates: tuple
@@ -94,20 +91,22 @@ class SweepSpec:
         for name, values in (("compression rates", self.compression_rates), ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {values}")
-        rates = {}
-        for key in self.external_phi_paths:
+        keys, paths = {}, {}
+        for key, path in self.external_phi_paths.items():
             try:
                 rate = float(key)
             except (TypeError, ValueError):
                 raise ValueError(f"external matrix keys must be rates, got {key!r}") from None
-            if rate in rates:
-                raise ValueError(f"external matrix keys {rates[rate]!r} and {key!r} name the same rate")
-            rates[rate] = key
-        for rate, key in rates.items():
-            if not any(_same_rate(rate, other) for other in self.compression_rates):
+            if rate in keys:
+                raise ValueError(f"external matrix keys {keys[rate]!r} and {key!r} name the same rate")
+            keys[rate], paths[rate] = key, path
+        for rate, key in keys.items():
+            if rate not in self.compression_rates:
                 raise ValueError(f"external matrix key {key!r} names no rate in {self.compression_rates}")
-        if rates and "external" not in self.methods:
+        if keys and "external" not in self.methods:
             raise ValueError(f'external matrices are given but "external" is not among methods {self.methods}')
+        # Rate -> path: the resolved keys, which run_scf_sweep looks up by rate.
+        object.__setattr__(self, "_external_paths", paths)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -117,7 +116,6 @@ class SweepSpec:
 class ExperimentReport:
     """Rows plus aggregates of one experiment, with full provenance."""
 
-    experiment: str
     rows: list
     aggregates: list
     provenance: dict
@@ -138,29 +136,33 @@ def _load_phi_document(path) -> tuple:
     return CombiningMatrix.from_dict(data), None
 
 
-def _external_path(spec: SweepSpec, rate: float):
-    for key, path in spec.external_phi_paths.items():
-        if _same_rate(float(key), rate):
-            return path
-    return None
+def _external_matrices(geometry, spec, channels_at) -> dict:
+    """Each rate's external matrix, read and shape-checked once, or its error row's text.
+
+    An ``OSError`` other than ``FileNotFoundError`` aborts the sweep.
+    """
+    table = {}
+    for rate in spec.compression_rates:
+        try:
+            if rate not in spec._external_paths:
+                raise FileNotFoundError(f"no external combining matrix registered for rate {rate}")
+            phi, _ = _load_phi_document(spec._external_paths[rate])
+            if (phi.rows, phi.cols) != (channels_at[rate], geometry.element_count):
+                raise ValueError(
+                    f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, "
+                    f"expected {channels_at[rate]} x {geometry.element_count}"
+                )
+            table[rate] = phi
+        except (FileNotFoundError, ValueError) as exc:
+            table[rate] = str(exc)
+    return table
 
 
-def _sweep_phi(geometry, spec, method, rate, channels, seed):
+def _sweep_phi(geometry, spec, method, channels, seed):
     if method == "gaussian":
         return random_gaussian_phi(channels, geometry.element_count, seed)
-    if method == "sgd":
-        trace = design(geometry, channels, replace(spec.optimizer, seed=seed))
-        return trace.final_phi
-    path = _external_path(spec, rate)
-    if path is None:
-        raise FileNotFoundError(f"no external combining matrix registered for rate {rate}")
-    phi, _ = _load_phi_document(path)
-    if (phi.rows, phi.cols) != (channels, geometry.element_count):
-        raise ValueError(
-            f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, "
-            f"expected {channels} x {geometry.element_count}"
-        )
-    return phi
+    trace = design(geometry, channels, replace(spec.optimizer, seed=seed))
+    return trace.final_phi
 
 
 def _run_jobs(jobs, worker, parallelism):
@@ -174,12 +176,15 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     """Evaluate grid SCF error for every (method, rate, seed) job.
 
     The grid's steering Gram matrix Q is built once and every job scores
-    its matrix against it, as ``grid_scf_error`` does.  A job that cannot
-    produce a combining matrix (missing or malformed external file) yields
-    an error row; the sweep continues.
+    its matrix against it, as ``grid_scf_error`` does.  Each external
+    matrix is read once per rate, before the jobs run.  A job that cannot
+    produce a combining matrix (missing or malformed external file, wrong
+    shape, no matrix for its rate, a design gone non-finite) yields an
+    error row; the sweep continues.
     """
     channels_at = {rate: channels_for_rate(rate, geometry.element_count) for rate in spec.compression_rates}
     grid_gram = _steering_gram(geometry, *spec.grid.angles())
+    externals = _external_matrices(geometry, spec, channels_at)
 
     job_list = [
         (method, rate, spec.optimizer.seed + offset)
@@ -190,15 +195,17 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
 
     def worker(job):
         method, rate, seed = job
-        row = {"rho": rate, "method": method, "seed": seed, "channels": channels_at[rate]}
+        channels = channels_at[rate]
         try:
-            phi = _sweep_phi(geometry, spec, method, rate, channels_at[rate], seed)
-            row["scf_error"] = _gap_terms(grid_gram, phi)[1]
-            row["status"] = "ok"
-        except (FileNotFoundError, ValueError) as exc:
-            row["scf_error"] = math.nan
-            row["status"] = f"error: {exc}"
-        return row
+            phi = externals[rate] if method == "external" else _sweep_phi(geometry, spec, method, channels, seed)
+        except ValueError as exc:
+            phi = str(exc)
+        ok = not isinstance(phi, str)
+        return {
+            "rho": rate, "method": method, "seed": seed, "channels": channels,
+            "scf_error": _gap_terms(grid_gram, phi)[1] if ok else math.nan,
+            "status": "ok" if ok else f"error: {phi}",
+        }
 
     rows = _run_jobs(job_list, worker, jobs)
     rows.sort(key=lambda r: (r["method"], r["rho"], r["seed"]))
@@ -235,7 +242,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
         "seeds": [spec.optimizer.seed + j for j in range(spec.seeds_per_point)],
         "channel_rule": "channels = floor(rate * elements + 0.5)",
     }
-    return ExperimentReport("scf_sweep", rows, aggregates, provenance)
+    return ExperimentReport(rows, aggregates, provenance)
 
 
 def run_crb_experiment(
@@ -272,7 +279,7 @@ def run_crb_experiment(
         "separation": separation,
         "methods": ["uncompressed", *sorted(phis)],
     }
-    return ExperimentReport("crb", rows, [], provenance, maps=maps)
+    return ExperimentReport(rows, [], provenance, maps=maps)
 
 
 def _slug(value) -> str:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayGeometry, Direction, steering_angles
-from .fileio import _json_numbers, _json_value, _require_keys, load_json
+from .fileio import _json_numbers, _json_value, _require_keys
 
 __all__ = [
     "AngleBatch",
@@ -85,10 +85,6 @@ class CombiningMatrix:
         if re.shape != shape or im.shape != shape:
             raise ValueError("re/im blocks do not match the declared rows x cols")
         return cls(re + 1j * im)
-
-    @classmethod
-    def load(cls, path) -> "CombiningMatrix":
-        return cls.from_dict(load_json(path))
 
 
 @dataclass(frozen=True, eq=False)

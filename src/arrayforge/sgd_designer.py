@@ -109,17 +109,16 @@ class DesignTrace:
 
     costs: list
     final_phi: CombiningMatrix
-    channels: int
     config: OptimizerConfig
 
     def __post_init__(self) -> None:
         iterations = [i for i, _ in self.costs]
         if any(b <= a for a, b in zip(iterations, iterations[1:])):
             raise ValueError("recorded iterations must be strictly increasing")
-        if self.channels != self.final_phi.rows:
-            raise ValueError(
-                f'"channels" is {self.channels} but the final matrix has {self.final_phi.rows} rows'
-            )
+
+    @property
+    def channels(self) -> int:
+        return self.final_phi.rows
 
     def to_dict(self) -> dict:
         return {
@@ -136,15 +135,16 @@ class DesignTrace:
         costs = _json_value(data["costs"], "costs", list)
         if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in costs):
             raise ValueError('"costs" must be a list of [iteration, cost] pairs')
-        return cls(
-            costs=[
-                (_json_value(i, f"costs[{k}][0]", int), _json_value(c, f"costs[{k}][1]", float))
-                for k, (i, c) in enumerate(costs)
-            ],
-            final_phi=CombiningMatrix.from_dict(_json_value(data["phi"], "phi", dict)),
-            channels=_json_value(data["channels"], "channels", int),
-            config=OptimizerConfig.from_dict(_json_value(data["config"], "config", dict)),
-        )
+        costs = [
+            (_json_value(i, f"costs[{k}][0]", int), _json_value(c, f"costs[{k}][1]", float))
+            for k, (i, c) in enumerate(costs)
+        ]
+        final_phi = CombiningMatrix.from_dict(_json_value(data["phi"], "phi", dict))
+        channels = _json_value(data["channels"], "channels", int)
+        trace = cls(costs, final_phi, OptimizerConfig.from_dict(_json_value(data["config"], "config", dict)))
+        if channels != trace.channels:
+            raise ValueError(f'"channels" is {channels} but the final matrix has {trace.channels} rows')
+        return trace
 
 
 def _cost_and_gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch):
@@ -233,8 +233,6 @@ def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> D
     ``record_every`` iterations.  The returned matrix is always
     column-normalized.
     """
-    if channels > geometry.element_count:
-        raise ValueError("cannot have more channels than elements")
     state = initial_state(geometry, channels, config)
     costs = []
     for i in range(config.iterations):
@@ -245,4 +243,4 @@ def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> D
     last = config.iterations - 1
     if config.iterations > 0 and last % config.renormalize_every != 0:
         phi = phi.normalize()
-    return DesignTrace(costs=costs, final_phi=phi, channels=channels, config=config)
+    return DesignTrace(costs=costs, final_phi=phi, config=config)

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from arrayforge import (
     write_crb_report,
     write_sweep_report,
 )
+from arrayforge import harness
 from oracles import random_unitary
 
 
@@ -144,6 +146,27 @@ class TestScfSweep:
             }[row["method"]]()
             assert row["scf_error"] == grid_scf_error(geometry, phi, spec.grid)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_external_document_is_read_once_per_rate(self, small_geometry, tmp_path, monkeypatch, jobs):
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(random_gaussian_phi(3, 6, 7).to_dict()))
+        reads = []
+
+        def counting_load_json(target):
+            reads.append(target)
+            return json.loads(Path(target).read_text())
+
+        monkeypatch.setattr(harness, "load_json", counting_load_json)
+        spec = small_spec(
+            compression_rates=(0.5,),
+            seeds_per_point=5,
+            methods=("external",),
+            external_phi_paths={"0.5": str(path)},
+        )
+        rows = run_scf_sweep(small_geometry, spec, jobs=jobs).rows
+        assert len(rows) == 5 and all(row["status"] == "ok" for row in rows)
+        assert reads == [str(path)]
+
     def test_sgd_seeds_pair_with_gaussian_baseline(self, small_geometry):
         # seed column records the per-job seed derived from the optimizer seed
         spec = small_spec(optimizer=OptimizerConfig(iterations=2, batch_size=4, seed=10))
@@ -208,6 +231,14 @@ class TestSweepSpecValidation:
     def test_rejects_external_key_of_no_rate(self):
         with pytest.raises(ValueError, match="names no rate"):
             small_spec(methods=("external",), external_phi_paths={"0.75": "phi.json"})
+
+    def test_external_key_must_equal_a_rate_exactly(self):
+        with pytest.raises(ValueError, match="names no rate"):
+            small_spec(
+                compression_rates=(0.5,),
+                methods=("external",),
+                external_phi_paths={"0.5": "a.json", "0.5000000000001": "b.json"},
+            )
 
     def test_rejects_external_keys_without_external_method(self):
         with pytest.raises(ValueError, match="not among methods"):
