@@ -16,7 +16,8 @@ recorded in provenance as ``blas_threads`` (null when no OpenBLAS thread
 control was found and the run went ahead unpinned).
 
 Exit status: 0 on success, 2 for validation failures (unknown flags,
-malformed or out-of-range values, missing files), 1 for runtime failures.
+malformed or out-of-range values, missing or malformed input files, the
+message naming the file), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .harness import (
     write_crb_report,
     write_sweep_report,
 )
-from .scf_objective import ScfGrid, grid_scf_error
-from .sgd_designer import OptimizerConfig, design
+from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
+from .sgd_designer import DesignTrace, OptimizerConfig, design
 
 __all__ = ["CliConfig", "OPTIONS", "parse_and_validate", "run", "main", "console_main"]
 
@@ -139,8 +140,9 @@ class Option:
     """One option: flag ``--name`` (``-`` for ``_``) and config key ``name``.
 
     ``bound`` is a ``(predicate, description)`` pair for single-option
-    bounds that no library constructor checks; cross-field checks belong
-    to the library objects built from the options.
+    bounds; cross-field checks belong to the library objects built from
+    the options.  ``OptimizerConfig`` also checks the ``eta`` and ``seed``
+    bounds, but the CLI keeps them so that the message names the flag.
     """
 
     name: str
@@ -225,26 +227,26 @@ class CliConfig:
     """Fully resolved and validated invocation of one subcommand.
 
     ``options`` holds the coerced value of every option the subcommand
-    takes except ``jobs``: the provenance echo.  ``blas_threads`` is the
-    OpenBLAS thread count ``main`` ran the command with (None: unpinned).
+    takes except ``jobs``: the provenance echo, and the runners' source of
+    scalar options.  The other fields are the objects built from it,
+    ``--phi`` documents included, so the runners read no input file:
+    evaluate-scf's ``phi`` and its ``trace`` (None for a bare matrix),
+    evaluate-crb's ``phis`` by label.  ``blas_threads`` is the OpenBLAS
+    thread count ``main`` ran the command with (None: unpinned).
     """
 
     command: str
     geometry: ArrayGeometry
     out: Path
-    seed: int
     jobs: int
     options: dict
     seed_given: bool = False
     optimizer: OptimizerConfig | None = None
     grid: ScfGrid | None = None
     spec: SweepSpec | None = None
-    channels: int | None = None
-    phi_path: Path | None = None
-    method: str | None = None
-    sigma2: float = 1.0
-    separation: float = DEFAULT_SEPARATION
-    phi_inputs: dict = field(default_factory=dict)
+    phi: CombiningMatrix | None = None
+    trace: DesignTrace | None = None
+    phis: dict = field(default_factory=dict)
     blas_threads: int | None = None
 
     @property
@@ -277,12 +279,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path_text: str) -> dict:
-    path = _require_file("config", path_text)
+def _read_input(kind: str, path_text: str, reader: Callable):
+    """``reader(path)`` of one input file; a missing file or a reader's OSError or ValueError is a CliError."""
+    path = Path(path_text)
+    if not path.is_file():
+        raise CliError(f"{kind} file not found: {path}")
     try:
-        data = load_json(path)
-    except Exception as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from None
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"could not read {kind} {path}: {exc}") from None
+
+
+def _load_config_file(path_text: str) -> dict:
+    path = Path(path_text)
+    data = _read_input("config", path_text, load_json)
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
@@ -322,13 +332,6 @@ def _resolve(command: str, flags: dict, file_values: dict) -> tuple:
     return values, given
 
 
-def _require_file(kind: str, path_text: str) -> Path:
-    path = Path(path_text)
-    if not path.is_file():
-        raise CliError(f"{kind} file not found: {path}")
-    return path
-
-
 def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
     if values["geometry"] is None:
         return make_suca(*(values[key] for key in _SUCA_KEYS))
@@ -336,11 +339,7 @@ def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
     if suca_given:
         flags = ", ".join(map(_flag, suca_given))
         raise CliError(f"exactly one geometry source: drop {flags} or drop --geometry")
-    path = _require_file("geometry", values["geometry"])
-    try:
-        geometry = load_geometry(path)
-    except Exception as exc:
-        raise CliError(f"could not read geometry {path}: {exc}") from None
+    geometry = _read_input("geometry", values["geometry"], load_geometry)
     for key in _SUCA_KEYS:
         values[key] = None
     return geometry
@@ -358,7 +357,6 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
         command=command,
         geometry=geometry,
         out=Path(v["out"]),
-        seed=v["seed"],
         jobs=jobs,
         options=v,
         seed_given="seed" in given,
@@ -379,26 +377,20 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
             renormalize_every=v["renormalize_every"],
             record_every=v["record_every"],
         )
-    if command == "design":
+    if command == "design" and not 1 <= v["channels"] <= geometry.element_count:
         # design() checks this only when it runs, which would exit 1.
-        if not 1 <= v["channels"] <= geometry.element_count:
-            raise CliError(
-                f"--channels must lie in 1..{geometry.element_count}, got {v['channels']}"
-            )
-        cfg.channels = v["channels"]
-    elif command == "evaluate-scf":
-        cfg.phi_path = _require_file("combining matrix", v["phi"])
-        cfg.method = v["method"]
+        raise CliError(f"--channels must lie in 1..{geometry.element_count}, got {v['channels']}")
+    if command == "evaluate-scf":
+        cfg.phi, cfg.trace = _read_input("combining matrix", v["phi"], _load_phi_document)
     elif command == "evaluate-crb":
-        paths = [_require_file("combining matrix", text) for text in v["phi"].values()]
-        labels = [name or path.stem for name, path in zip(v["phi"], paths)]
+        labels = [name or Path(text).stem for name, text in v["phi"].items()]
         _check_labels(labels)
-        cfg.phi_inputs = dict(zip(labels, paths))
-        cfg.sigma2 = v["sigma2"]
-        cfg.separation = v["separation"]
+        documents = [_read_input("combining matrix", text, _load_phi_document) for text in v["phi"].values()]
+        cfg.phis = {label: phi for label, (phi, _) in zip(labels, documents)}
     elif command == "sweep":
+        # run_scf_sweep reads these once per rate; a malformed one is an error row.
         for path_text in v["external_phi"].values():
-            _require_file("external combining matrix", path_text)
+            _read_input("external combining matrix", path_text, Path)
         cfg.spec = SweepSpec(
             compression_rates=v["rates"],
             seeds_per_point=v["seeds_per_point"],
@@ -440,25 +432,25 @@ def _emit(path: Path, detail: str) -> None:
 
 
 def _run_design(config: CliConfig) -> int:
-    trace = design(config.geometry, config.channels, config.optimizer)
+    trace = design(config.geometry, config.options["channels"], config.optimizer)
     doc = trace.to_dict()
     doc["provenance"] = _provenance(config)
     atomic_write_json(config.out, doc)
     last = trace.costs[-1][1] if trace.costs else math.nan
     _emit(
         config.out,
-        f"channels={config.channels}, iterations={config.optimizer.iterations}, "
+        f"channels={trace.channels}, iterations={config.optimizer.iterations}, "
         f"last_recorded_cost={last:.6g}",
     )
     return EXIT_OK
 
 
 def _run_evaluate_scf(config: CliConfig) -> int:
-    phi, trace = _load_phi_document(config.phi_path)
-    method = config.method
+    phi, trace, v = config.phi, config.trace, config.options
+    method = v["method"]
     if method is None:
         method = "external" if trace is None else "sgd"
-    seed = config.seed
+    seed = v["seed"]
     if not config.seed_given and trace is not None:
         seed = trace.config.seed
     error = grid_scf_error(config.geometry, phi, config.grid)
@@ -468,16 +460,16 @@ def _run_evaluate_scf(config: CliConfig) -> int:
     sidecar = config.out.parent / (config.out.stem + "_provenance.json")
     doc = _provenance(config)
     doc["grid"] = config.grid.to_dict()
-    doc["phi_file"] = str(config.phi_path)
+    doc["phi_file"] = str(Path(v["phi"]))
     atomic_write_json(sidecar, doc)
     _emit(sidecar, "provenance")
     return EXIT_OK
 
 
 def _run_evaluate_crb(config: CliConfig) -> int:
-    phis = {name: _load_phi_document(path)[0] for name, path in config.phi_inputs.items()}
+    v = config.options
     report = run_crb_experiment(
-        config.geometry, phis, config.grid, noise_variance=config.sigma2, separation=config.separation
+        config.geometry, config.phis, config.grid, noise_variance=v["sigma2"], separation=v["separation"]
     )
     report.provenance.update(_provenance(config))
     for path in write_crb_report(report, config.out):

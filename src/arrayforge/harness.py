@@ -139,22 +139,24 @@ def _load_phi_document(path) -> tuple:
 def _external_matrices(geometry, spec, channels_at) -> dict:
     """Each rate's external matrix, read and shape-checked once, or its error row's text.
 
-    An ``OSError`` other than ``FileNotFoundError`` aborts the sweep.
+    A read failure's text names the file; an ``OSError`` other than ``FileNotFoundError`` aborts the sweep.
     """
     table = {}
     for rate in spec.compression_rates:
+        path = spec._external_paths.get(rate)
+        if path is None:
+            table[rate] = f"no external combining matrix registered for rate {rate}"
+            continue
         try:
-            if rate not in spec._external_paths:
-                raise FileNotFoundError(f"no external combining matrix registered for rate {rate}")
-            phi, _ = _load_phi_document(spec._external_paths[rate])
-            if (phi.rows, phi.cols) != (channels_at[rate], geometry.element_count):
-                raise ValueError(
-                    f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, "
-                    f"expected {channels_at[rate]} x {geometry.element_count}"
-                )
-            table[rate] = phi
+            phi, _ = _load_phi_document(path)
         except (FileNotFoundError, ValueError) as exc:
-            table[rate] = str(exc)
+            table[rate] = f"{path}: {exc}"
+            continue
+        rows, cols = channels_at[rate], geometry.element_count
+        if (phi.rows, phi.cols) == (rows, cols):
+            table[rate] = phi
+        else:
+            table[rate] = f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, expected {rows} x {cols}"
     return table
 
 

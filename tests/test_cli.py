@@ -57,8 +57,8 @@ class TestParseDefaults:
         )
         assert config.grid.azimuth_count == 121
         assert config.grid.elevation_count == 61
-        assert config.sigma2 == 1.0
-        assert config.separation == pytest.approx(2 * math.pi / 10)
+        assert config.options["sigma2"] == 1.0
+        assert config.options["separation"] == pytest.approx(2 * math.pi / 10)
 
     def test_defaults_recorded_in_options(self, tmp_path):
         config = parse_and_validate(["design", "--channels", "3", "--out", str(tmp_path / "t.json")])
@@ -165,15 +165,15 @@ class TestPrecedence:
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ARRAYFORGE_SEED", "7")
         args = ["design", "--channels", "3", "--out", str(tmp_path / "t.json")]
-        assert parse_and_validate(args).seed == 7
-        assert parse_and_validate([*args, "--seed", "9"]).seed == 9
+        assert parse_and_validate(args).options["seed"] == 7
+        assert parse_and_validate([*args, "--seed", "9"]).options["seed"] == 9
 
     def test_config_seed_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ARRAYFORGE_SEED", "7")
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"schema_version": 1, "seed": 5}))
         args = ["design", "--channels", "3", "--config", str(cfg), "--out", str(tmp_path / "t.json")]
-        assert parse_and_validate(args).seed == 5
+        assert parse_and_validate(args).options["seed"] == 5
 
     def test_bad_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ARRAYFORGE_SEED", "banana")
@@ -267,9 +267,11 @@ def _outcome(argv):
         config = parse_and_validate(argv)
     except cli.CliError as exc:
         return "error", str(exc)
+    # Library objects such as CombiningMatrix compare by identity; compare their documents.
     fields = {
         f.name: getattr(config, f.name) for f in dataclasses.fields(config) if f.name != "geometry"
     }
+    fields = {name: value.to_dict() if hasattr(value, "to_dict") else value for name, value in fields.items()}
     return fields, config.geometry.to_dict(), cli._provenance(config)
 
 
@@ -401,7 +403,7 @@ class TestEvaluateScfCommand:
         trace.write_text(json.dumps(doc))
         out = tmp_path / "scf.csv"
         code = main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), "--out", str(out)])
-        assert code == 1
+        assert code == 2
         assert f'"{key}"' in capsys.readouterr().err
         assert not out.exists()
 
@@ -444,6 +446,47 @@ class TestEvaluateCrbCommand:
             ["evaluate-crb", *SMALL_GEOM, "--phi", f"uncompressed={phi_path}", "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bad_key", [None, "im"], ids=["not-json", "no-im"])
+    def test_malformed_document_is_validation_error_naming_its_file(self, tmp_path, capsys, bad_key):
+        doc = CombiningMatrix(random_unitary(4, np.random.default_rng(1))[:2]).to_dict()
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(doc))
+        del doc["im"]
+        bad.write_text("{not json" if bad_key is None else json.dumps(doc))
+        out = tmp_path / "crb"
+        code = main(
+            ["evaluate-crb", *SMALL_GEOM, *SMALL_GRID, "--phi", f"a={good}", "--phi", f"b={bad}", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and str(good) not in err
+        assert bad_key is None or f'"{bad_key}"' in err
+        assert not out.exists()
+
+
+class TestInputsReadAtValidation:
+    """parse_and_validate reads every --phi document; run only computes and writes."""
+
+    @pytest.mark.parametrize(
+        "command, phi, out",
+        [("evaluate-scf", "{}", "scf.csv"), ("evaluate-crb", "designed={}", ".")],
+    )
+    def test_run_reads_no_input_file(self, tmp_path, command, phi, out):
+        trace = run_design(tmp_path)
+        out_dir = tmp_path / "out"
+        argv = [command, *SMALL_GEOM, *SMALL_GRID, "--phi", phi.format(trace), "--out", str(out_dir / out)]
+
+        def artifacts():
+            return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+        assert cli.run(parse_and_validate(argv)) == 0
+        expected = artifacts()
+        shutil.rmtree(out_dir)
+        config = parse_and_validate(argv)
+        trace.unlink()
+        assert cli.run(config) == 0
+        assert artifacts() == expected
 
 
 class TestSweepCommand:
@@ -511,6 +554,21 @@ class TestSweepCommand:
         assert code == 0
         external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
         assert external[5].startswith("error") and '"config"' in external[5]
+        assert gaussian[5] == "ok"
+
+    def test_malformed_external_document_row_names_its_file(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
+                "--methods", "gaussian,external", "--external-phi", f"0.5={bad}", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
+        assert external[5].startswith(f"error: {bad}: Expecting property name")
         assert gaussian[5] == "ok"
 
     def test_external_design_trace_scores_like_evaluate_scf(self, tmp_path):
