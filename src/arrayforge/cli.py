@@ -39,8 +39,7 @@ from .harness import (
     DEFAULT_SEPARATION,
     SweepSpec,
     _check_labels,
-    _load_phi_document,
-    channels_for_rate,
+    _sweep_channels,
     run_crb_experiment,
     run_scf_sweep,
     write_crb_report,
@@ -228,11 +227,12 @@ class CliConfig:
 
     ``options`` holds the coerced value of every option the subcommand
     takes except ``jobs``: the provenance echo, and the runners' source of
-    scalar options.  The other fields are the objects built from it,
-    ``--phi`` documents included, so the runners read no input file:
+    scalar options.  The other fields are the objects built from it, every
+    input document included, so the runners read no input file:
     evaluate-scf's ``phi`` and its ``trace`` (None for a bare matrix),
-    evaluate-crb's ``phis`` by label.  ``blas_threads`` is the OpenBLAS
-    thread count ``main`` ran the command with (None: unpinned).
+    evaluate-crb's ``phis`` by label, the sweep's ``spec.external_phis`` by
+    rate.  ``blas_threads`` is the OpenBLAS thread count ``main`` ran the
+    command with (None: unpinned).
     """
 
     command: str
@@ -288,6 +288,20 @@ def _read_input(kind: str, path_text: str, reader: Callable):
         return reader(path)
     except (OSError, ValueError) as exc:
         raise CliError(f"could not read {kind} {path}: {exc}") from None
+
+
+def _load_phi_document(path) -> tuple:
+    """Read a bare combining-matrix JSON or a design-trace JSON.
+
+    A document with any of the trace keys "phi", "costs" or "config" is
+    read as a trace.  Returns the matrix and the trace it came from (None
+    for a bare matrix).
+    """
+    data = load_json(path)
+    if isinstance(data, dict) and not data.keys().isdisjoint(("phi", "costs", "config")):
+        trace = DesignTrace.from_dict(data)
+        return trace.final_phi, trace
+    return CombiningMatrix.from_dict(data), None
 
 
 def _load_config_file(path_text: str) -> dict:
@@ -388,19 +402,25 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
         documents = [_read_input("combining matrix", text, _load_phi_document) for text in v["phi"].values()]
         cfg.phis = {label: phi for label, (phi, _) in zip(labels, documents)}
     elif command == "sweep":
-        # run_scf_sweep reads these once per rate; a malformed one is an error row.
-        for path_text in v["external_phi"].values():
-            _read_input("external combining matrix", path_text, Path)
+        keys, sources, phis = {}, {}, {}
+        for key, path_text in v["external_phi"].items():
+            try:
+                rate = float(key)
+            except ValueError:
+                raise CliError(f"external matrix keys must be rates, got {key!r}") from None
+            if rate in keys:
+                raise CliError(f"external matrix keys {keys[rate]!r} and {key!r} name the same rate")
+            keys[rate], sources[rate] = key, path_text
+            phis[rate], _ = _read_input("external combining matrix", path_text, _load_phi_document)
         cfg.spec = SweepSpec(
             compression_rates=v["rates"],
             seeds_per_point=v["seeds_per_point"],
             methods=v["methods"],
             grid=cfg.grid,
             optimizer=cfg.optimizer,
-            external_phi_paths=v["external_phi"],
+            external_phis=phis,
         )
-        for rate in cfg.spec.compression_rates:
-            channels_for_rate(rate, geometry.element_count)
+        _sweep_channels(geometry, cfg.spec, sources)
     return cfg
 
 

@@ -163,11 +163,14 @@ class CrbMap:
         return self.values[self.ok_mask()]
 
     def log10_statistics(self) -> dict:
-        """Median and sample variance of log10(C) over the valid cells."""
+        """Median and sample variance of log10(C) over the valid cells, and the cell count per status."""
         logs = np.log10(self.ok_values())
         return {
             "cells_total": int(self.values.size),
             "cells_ok": int(logs.size),
+            "cells_absent": int(np.count_nonzero(self.status == "absent")),
+            "cells_rank_deficient": int(np.count_nonzero(self.status == "rank-deficient")),
+            "cells_unidentifiable": int(np.count_nonzero(self.status == "unidentifiable")),
             "median_log10_crb": float(np.median(logs)) if logs.size else math.nan,
             "variance_log10_crb": float(np.var(logs, ddof=1)) if logs.size > 1 else math.nan,
         }

@@ -7,7 +7,7 @@ depend on the execution order or the degree of parallelism.
 
 This module owns the artifact names and writes every report and CRB map
 file through ``fileio``; design labels name the map files, so the label
-rule lives here too.
+rule lives here too.  It reads no input file: designs arrive as matrices.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 from ._version import __version__
 from .array_model import ArrayGeometry
 from .crb_eval import CrbMap, crb_map
-from .fileio import atomic_write_csv, atomic_write_json, load_json
+from .fileio import atomic_write_csv, atomic_write_json
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
-from .sgd_designer import DesignTrace, OptimizerConfig, design, random_gaussian_phi
+from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
 
 __all__ = [
     "SweepSpec",
@@ -58,11 +58,9 @@ class SweepSpec:
     Per-job seeds are ``optimizer.seed + j`` for j below ``seeds_per_point``;
     the sgd run with seed s starts from the identical Gaussian draw as the
     gaussian baseline with seed s, so the comparison is paired.
-    ``external_phi_paths`` maps rate keys (text) to combining-matrix or
-    design-trace files.  Each key is resolved here, once: ``float(key)``
-    must equal one of ``compression_rates`` exactly, no two keys may name
-    the same rate, and keys need "external" among ``methods``, so that no
-    given file goes unread.  ``to_dict`` keeps the key text.
+    ``external_phis`` maps rates to the ``CombiningMatrix`` that the external
+    method scores.  Each key must equal a rate exactly, and keys need
+    "external" among ``methods``, so that no given matrix goes unscored.
     """
 
     compression_rates: tuple
@@ -70,12 +68,12 @@ class SweepSpec:
     methods: tuple
     grid: ScfGrid
     optimizer: OptimizerConfig
-    external_phi_paths: dict | None = None
+    external_phis: dict | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compression_rates", tuple(self.compression_rates))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "external_phi_paths", dict(self.external_phi_paths or {}))
+        object.__setattr__(self, "external_phis", dict(self.external_phis or {}))
         if len(self.compression_rates) < 1:
             raise ValueError("need at least one compression rate")
         for rate in self.compression_rates:
@@ -91,25 +89,18 @@ class SweepSpec:
         for name, values in (("compression rates", self.compression_rates), ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat, got {values}")
-        keys, paths = {}, {}
-        for key, path in self.external_phi_paths.items():
-            try:
-                rate = float(key)
-            except (TypeError, ValueError):
-                raise ValueError(f"external matrix keys must be rates, got {key!r}") from None
-            if rate in keys:
-                raise ValueError(f"external matrix keys {keys[rate]!r} and {key!r} name the same rate")
-            keys[rate], paths[rate] = key, path
-        for rate, key in keys.items():
+        for rate, phi in self.external_phis.items():
             if rate not in self.compression_rates:
-                raise ValueError(f"external matrix key {key!r} names no rate in {self.compression_rates}")
-        if keys and "external" not in self.methods:
+                raise ValueError(f"external matrix key {rate!r} names no rate in {self.compression_rates}")
+            if not isinstance(phi, CombiningMatrix):
+                raise TypeError(f"external matrix for rate {rate} must be a CombiningMatrix, got {phi!r}")
+        if self.external_phis and "external" not in self.methods:
             raise ValueError(f'external matrices are given but "external" is not among methods {self.methods}')
-        # Rate -> path: the resolved keys, which run_scf_sweep looks up by rate.
-        object.__setattr__(self, "_external_paths", paths)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        doc = asdict(replace(self, external_phis=None))
+        doc["external_phis"] = {rate: phi.to_dict() for rate, phi in self.external_phis.items()}
+        return doc
 
 
 @dataclass
@@ -122,45 +113,25 @@ class ExperimentReport:
     maps: list | None = None
 
 
-def _load_phi_document(path) -> tuple:
-    """Read a bare combining-matrix JSON or a design-trace JSON.
-
-    A document with any of the trace keys "phi", "costs" or "config" is
-    read as a trace.  Returns the matrix and the trace it came from (None
-    for a bare matrix).
-    """
-    data = load_json(path)
-    if isinstance(data, dict) and not data.keys().isdisjoint(("phi", "costs", "config")):
-        trace = DesignTrace.from_dict(data)
-        return trace.final_phi, trace
-    return CombiningMatrix.from_dict(data), None
-
-
-def _external_matrices(geometry, spec, channels_at) -> dict:
-    """Each rate's external matrix, read and shape-checked once, or its error row's text.
-
-    A read failure's text names the file; an ``OSError`` other than ``FileNotFoundError`` aborts the sweep.
-    """
-    table = {}
-    for rate in spec.compression_rates:
-        path = spec._external_paths.get(rate)
-        if path is None:
-            table[rate] = f"no external combining matrix registered for rate {rate}"
-            continue
-        try:
-            phi, _ = _load_phi_document(path)
-        except (FileNotFoundError, ValueError) as exc:
-            table[rate] = f"{path}: {exc}"
-            continue
-        rows, cols = channels_at[rate], geometry.element_count
-        if (phi.rows, phi.cols) == (rows, cols):
-            table[rate] = phi
-        else:
-            table[rate] = f"external matrix for rate {rate} is {phi.rows} x {phi.cols}, expected {rows} x {cols}"
-    return table
+def _sweep_channels(geometry, spec, sources=None) -> dict:
+    """Channel count per rate; ``ValueError`` (naming ``sources[rate]``) for a wrongly shaped external matrix."""
+    elements = geometry.element_count
+    channels_at = {rate: channels_for_rate(rate, elements) for rate in spec.compression_rates}
+    for rate, phi in spec.external_phis.items():
+        if (phi.rows, phi.cols) != (channels_at[rate], elements):
+            source = f" ({sources[rate]})" if sources else ""
+            raise ValueError(
+                f"external matrix for rate {rate}{source} is {phi.rows} x {phi.cols}, "
+                f"expected {channels_at[rate]} x {elements}"
+            )
+    return channels_at
 
 
-def _sweep_phi(geometry, spec, method, channels, seed):
+def _sweep_phi(geometry, spec, method, rate, channels, seed):
+    if method == "external":
+        if rate not in spec.external_phis:
+            raise ValueError(f"no external combining matrix registered for rate {rate}")
+        return spec.external_phis[rate]
     if method == "gaussian":
         return random_gaussian_phi(channels, geometry.element_count, seed)
     trace = design(geometry, channels, replace(spec.optimizer, seed=seed))
@@ -178,15 +149,14 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     """Evaluate grid SCF error for every (method, rate, seed) job.
 
     The grid's steering Gram matrix Q is built once and every job scores
-    its matrix against it, as ``grid_scf_error`` does.  Each external
-    matrix is read once per rate, before the jobs run.  A job that cannot
-    produce a combining matrix (missing or malformed external file, wrong
-    shape, no matrix for its rate, a design gone non-finite) yields an
-    error row; the sweep continues.
+    its matrix against it, as ``grid_scf_error`` does.  An external matrix
+    of the wrong shape raises ``ValueError`` before any job runs.  A job
+    that cannot produce a combining matrix (an external rate that has no
+    matrix, a design gone non-finite) yields an error row; the sweep
+    continues.
     """
-    channels_at = {rate: channels_for_rate(rate, geometry.element_count) for rate in spec.compression_rates}
+    channels_at = _sweep_channels(geometry, spec)
     grid_gram = _steering_gram(geometry, *spec.grid.angles())
-    externals = _external_matrices(geometry, spec, channels_at)
 
     job_list = [
         (method, rate, spec.optimizer.seed + offset)
@@ -199,7 +169,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
         method, rate, seed = job
         channels = channels_at[rate]
         try:
-            phi = externals[rate] if method == "external" else _sweep_phi(geometry, spec, method, channels, seed)
+            phi = _sweep_phi(geometry, spec, method, rate, channels, seed)
         except ValueError as exc:
             phi = str(exc)
         ok = not isinstance(phi, str)
@@ -340,7 +310,8 @@ def write_crb_report(report: ExperimentReport, outdir) -> list:
             map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name}
         )
         written.extend([csv_path, json_path])
-    header = ["method", "kind", "cells_total", "cells_ok", "median_log10_crb", "variance_log10_crb"]
+    header = ["method", "kind", "cells_total", "cells_ok", "median_log10_crb", "variance_log10_crb",
+              "cells_absent", "cells_rank_deficient", "cells_unidentifiable"]
     written.append(atomic_write_csv(outdir / "crb_summary.csv", header, report.rows))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))
     return written

@@ -64,8 +64,8 @@ class CombiningMatrix:
     def normalize(self) -> "CombiningMatrix":
         """Return a copy whose columns have unit Euclidean norm."""
         norms = self.column_norms()
-        if np.any(norms == 0.0):
-            raise ValueError("cannot normalize a matrix with a zero column")
+        if not np.all((norms > 0.0) & (norms < np.inf)):
+            raise ValueError("cannot normalize a matrix with a zero column or a column norm that overflows")
         return CombiningMatrix(self.entries / norms)
 
     def to_dict(self) -> dict:

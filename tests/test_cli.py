@@ -145,6 +145,18 @@ class TestValidationErrors:
         assert main([command, "--config", str(cfg)]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channels", ["0", "34"])
+    def test_channels_out_of_range_rejected(self, tmp_path, capsys, channels):
+        out = tmp_path / "t.json"
+        assert main(["design", "--channels", channels, "--out", str(out)]) == 2
+        assert f"--channels must lie in 1..33, got {channels}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_methods_rejected(self, tmp_path, capsys):
+        code = main(["sweep", *SMALL_GEOM, *SMALL_GRID, "--methods", "", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "need at least one method" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--rates", "0.5,0.5"], ["--methods", "gaussian,gaussian"]])
     def test_repeated_rates_or_methods_rejected(self, tmp_path, capsys, flags):
         code = main(
@@ -310,6 +322,29 @@ class TestDesignCommand:
         phi = CombiningMatrix.from_dict(doc["phi"])
         assert phi.rows == 2 and phi.cols == 4
 
+    def test_overflowing_design_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["design", "--channels", "13", "--iters", "50", "--alpha", "1e200", "--out", str(out)])
+        assert code == 1
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_geometry_file_designs_like_suca_flags(self, tmp_path):
+        geometry_file = tmp_path / "geometry.json"
+        save_geometry(make_suca(1, 4, 0.5, 0.3), geometry_file)
+        suca = json.loads(run_design(tmp_path, "suca.json").read_text())
+        out = tmp_path / "file.json"
+        argv = ["design", "--geometry", str(geometry_file), *FAST_DESIGN, "--channels", "2", "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == 0
+        from_file = json.loads(out.read_text())
+        options = from_file["provenance"].pop("resolved_options")
+        suca_options = suca["provenance"].pop("resolved_options")
+        assert from_file == suca
+        # The file is echoed and the SUCA options are null; every other option is the same.
+        expected = {**suca_options, "out": str(out), "geometry": str(geometry_file), **dict.fromkeys(cli._SUCA_KEYS)}
+        assert options == expected
+
 
 class TestEvaluateScfCommand:
     def test_pipeline_design_then_evaluate(self, tmp_path):
@@ -407,6 +442,17 @@ class TestEvaluateScfCommand:
         assert f'"{key}"' in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_iterations_must_increase(self, tmp_path, capsys):
+        trace = run_design(tmp_path)
+        doc = json.loads(trace.read_text())
+        doc["costs"][1][0] = doc["costs"][0][0]
+        trace.write_text(json.dumps(doc))
+        out = tmp_path / "scf.csv"
+        code = main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), "--out", str(out)])
+        assert code == 2
+        assert "recorded iterations must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_phi_file_is_validation_error(self, tmp_path):
         code = main(["evaluate-scf", *SMALL_GEOM, "--phi", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -447,26 +493,32 @@ class TestEvaluateCrbCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("bad_key", [None, "im"], ids=["not-json", "no-im"])
-    def test_malformed_document_is_validation_error_naming_its_file(self, tmp_path, capsys, bad_key):
+    @pytest.mark.parametrize(
+        "bad_text, fragment",
+        [
+            ("{not json", "Expecting property name"),
+            (json.dumps({"rows": 1, "cols": 4, "re": [[1.0, 0.0, 0.0, 0.0]]}), '"im"'),
+            ("[1, 2]", "must be a JSON object"),
+        ],
+        ids=["not-json", "no-im", "json-list"],
+    )
+    def test_malformed_document_is_validation_error_naming_its_file(self, tmp_path, capsys, bad_text, fragment):
         doc = CombiningMatrix(random_unitary(4, np.random.default_rng(1))[:2]).to_dict()
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps(doc))
-        del doc["im"]
-        bad.write_text("{not json" if bad_key is None else json.dumps(doc))
+        bad.write_text(bad_text)
         out = tmp_path / "crb"
         code = main(
             ["evaluate-crb", *SMALL_GEOM, *SMALL_GRID, "--phi", f"a={good}", "--phi", f"b={bad}", "--out", str(out)]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and str(good) not in err
-        assert bad_key is None or f'"{bad_key}"' in err
+        assert str(bad) in err and str(good) not in err and fragment in err
         assert not out.exists()
 
 
 class TestInputsReadAtValidation:
-    """parse_and_validate reads every --phi document; run only computes and writes."""
+    """parse_and_validate reads every --phi and --external-phi document; run only computes and writes."""
 
     @pytest.mark.parametrize(
         "command, phi, out",
@@ -487,6 +539,29 @@ class TestInputsReadAtValidation:
         trace.unlink()
         assert cli.run(config) == 0
         assert artifacts() == expected
+
+    def test_sweep_reads_each_external_document_once(self, tmp_path, monkeypatch):
+        paths = [run_design(tmp_path, name) for name in ("a.json", "b.json")]
+        reads = []
+
+        def counting_load_json(path):
+            reads.append(Path(path))
+            return json.loads(Path(path).read_text())
+
+        monkeypatch.setattr(cli, "load_json", counting_load_json)
+        # Both rates give 2 channels on 4 elements.
+        argv = [
+            "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.4,0.5", "--seeds-per-point", "3",
+            "--methods", "external", "--external-phi", f"0.4={paths[0]}", "--external-phi", f"0.5={paths[1]}",
+            "--out", str(tmp_path / "sweep"),
+        ]
+        config = parse_and_validate(argv)
+        for path in paths:
+            path.unlink()
+        assert cli.run(config) == 0
+        assert reads == paths
+        rows = read_rows(tmp_path / "sweep" / "scf_sweep_results.csv")[1:]
+        assert [row[5] for row in rows] == ["ok"] * 6
 
 
 class TestSweepCommand:
@@ -522,54 +597,49 @@ class TestSweepCommand:
         assert rows[1][1] == "external"
         assert float(rows[1][3]) <= 1e-10
 
-    def test_trace_missing_a_key_is_an_error_row(self, tmp_path):
-        trace = run_design(tmp_path)
-        doc = json.loads(trace.read_text())
-        del doc["costs"]
-        trace.write_text(json.dumps(doc))
-        out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
-                "--methods", "gaussian,external", "--external-phi", f"0.5={trace}", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
-        assert external[1] == "external" and external[5].startswith("error") and '"costs"' in external[5]
-        assert gaussian[1] == "gaussian" and gaussian[5] == "ok"
-
-    def test_trace_of_wrong_json_type_is_an_error_row(self, tmp_path):
-        trace = run_design(tmp_path)
-        doc = json.loads(trace.read_text())
-        doc["config"] = 5
-        trace.write_text(json.dumps(doc))
-        out = tmp_path / "sweep"
-        code = main(
-            [
-                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
-                "--methods", "gaussian,external", "--external-phi", f"0.5={trace}", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
-        assert external[5].startswith("error") and '"config"' in external[5]
-        assert gaussian[5] == "ok"
-
-    def test_malformed_external_document_row_names_its_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (lambda trace: json.dumps({key: value for key, value in trace.items() if key != "costs"}), '"costs"'),
+            (lambda trace: json.dumps({**trace, "config": 5}), '"config"'),
+            (lambda trace: "{not json", "Expecting property name"),
+            (lambda trace: json.dumps(CombiningMatrix(np.ones((1, 4))).to_dict()), "is 1 x 4, expected 4 x 4"),
+            (lambda trace: None, "not found"),
+        ],
+        ids=["trace-without-costs", "trace-config-a-number", "not-json", "wrong-shape", "missing-file"],
+    )
+    def test_bad_external_document_exits_2_naming_its_file(self, tmp_path, capsys, content, fragment):
+        good = run_design(tmp_path)
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        text = content(json.loads(good.read_text()))
+        if text is not None:
+            bad.write_text(text)
         out = tmp_path / "sweep"
         code = main(
             [
-                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5", "--seeds-per-point", "1",
-                "--methods", "gaussian,external", "--external-phi", f"0.5={bad}", "--out", str(out),
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5,1.0", "--seeds-per-point", "1",
+                "--methods", "gaussian,external", "--external-phi", f"0.5={good}", "--external-phi", f"1.0={bad}",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and str(good) not in err and fragment in err
+        assert not out.exists()
+
+    def test_rate_without_matrix_is_an_error_row(self, tmp_path):
+        trace = run_design(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", "0.5,1.0", "--seeds-per-point", "1",
+                "--methods", "external", "--external-phi", f"0.5={trace}", "--out", str(out),
             ]
         )
         assert code == 0
-        external, gaussian = read_rows(out / "scf_sweep_results.csv")[1:]
-        assert external[5].startswith(f"error: {bad}: Expecting property name")
-        assert gaussian[5] == "ok"
+        ok, missing = read_rows(out / "scf_sweep_results.csv")[1:]
+        assert ok[5] == "ok"
+        assert missing[5] == "error: no external combining matrix registered for rate 1.0"
 
     def test_external_design_trace_scores_like_evaluate_scf(self, tmp_path):
         trace = run_design(tmp_path)
@@ -588,11 +658,16 @@ class TestSweepCommand:
         assert row[3] == read_rows(scf)[1][3]
 
     @pytest.mark.parametrize(
-        "rates, methods, message",
-        [("0.5", "gaussian,external", "names no rate"), ("0.75", "gaussian", "not among methods")],
-        ids=["key-of-no-rate", "external-not-a-method"],
+        "rates, methods, key, message",
+        [
+            ("0.5", "gaussian,external", "0.75", "names no rate"),
+            ("0.75", "gaussian", "0.75", "not among methods"),
+            ("0.5", "external", "0.5000000000001", "names no rate"),
+            ("0.5", "external", "half", "external matrix keys must be rates, got 'half'"),
+        ],
+        ids=["key-of-no-rate", "external-not-a-method", "key-near-a-rate", "key-not-a-number"],
     )
-    def test_unused_external_phi_exits_2(self, tmp_path, capsys, rates, methods, message):
+    def test_unused_external_phi_exits_2(self, tmp_path, capsys, rates, methods, key, message):
         unitary = CombiningMatrix(random_unitary(4, np.random.default_rng(2)))
         phi_path = tmp_path / "bare.json"
         phi_path.write_text(json.dumps(unitary.to_dict()))
@@ -600,7 +675,7 @@ class TestSweepCommand:
         code = main(
             [
                 "sweep", *SMALL_GEOM, *SMALL_GRID, "--rates", rates, "--seeds-per-point", "1",
-                "--methods", methods, "--external-phi", f"0.75={phi_path}", "--out", str(out),
+                "--methods", methods, "--external-phi", f"{key}={phi_path}", "--out", str(out),
             ]
         )
         assert code == 2

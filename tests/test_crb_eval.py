@@ -224,6 +224,20 @@ class TestCrbMap:
         assert stats["cells_ok"] == 6
         assert stats["cells_total"] == 9
 
+    def test_statistics_count_every_status(self, suca33):
+        # absent cells past the pole, unidentifiable pole cells and ok cells in one map
+        grid = ScfGrid(3, 4, (0.0, 1.0), (0.0, math.pi))
+        result = crb_map(suca33, None, grid, "elevation-pair", separation=2.0 * math.pi / 10.0)
+        stats = result.log10_statistics()
+        counts = {status: int(np.sum(result.status == status)) for status in ("ok", "absent", "unidentifiable")}
+        assert counts == {"ok": 6, "absent": 3, "unidentifiable": 3}
+        assert stats["cells_ok"] == counts["ok"]
+        assert stats["cells_absent"] == counts["absent"]
+        assert stats["cells_unidentifiable"] == counts["unidentifiable"]
+        assert stats["cells_rank_deficient"] == 0
+        by_status = ("cells_ok", "cells_absent", "cells_rank_deficient", "cells_unidentifiable")
+        assert sum(stats[key] for key in by_status) == stats["cells_total"]
+
     @pytest.mark.parametrize("rows", [3, 1])
     def test_information_at_round_off_is_unidentifiable(self, suca33, rows):
         # every compressed output sees the same combination (3 equal rows or a
@@ -233,6 +247,8 @@ class TestCrbMap:
         grid = ScfGrid(9, 5, (-math.pi, math.pi), (math.pi / 4, 3 * math.pi / 4))
         result = crb_map(suca33, phi, grid, "single")
         assert set(result.status.ravel()) == {"unidentifiable"}
+        stats = result.log10_statistics()
+        assert (stats["cells_unidentifiable"], stats["cells_ok"]) == (grid.point_count, 0)
         for az, el in zip(*grid.angles()):
             scenario = CrbScenario((Direction(az, el),), np.ones(1), 1.0, phi)
             with pytest.raises(UnidentifiableScenarioError):
@@ -291,3 +307,4 @@ class TestWriteCrbMap:
         assert sidecar["method"] == "uncompressed"
         assert sidecar["kind"] == "single"
         assert sidecar["statistics"]["cells_ok"] == grid.point_count
+        assert sidecar["statistics"]["cells_absent"] == 0

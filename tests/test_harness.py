@@ -1,7 +1,6 @@
 import json
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from arrayforge import (
     write_crb_report,
     write_sweep_report,
 )
-from arrayforge import harness
 from oracles import random_unitary
 
 
@@ -37,7 +35,7 @@ def small_spec(**overrides):
         methods=("gaussian", "sgd"),
         grid=ScfGrid(5, 4, (-math.pi, math.pi), (0.4, math.pi - 0.4)),
         optimizer=OptimizerConfig(iterations=5, batch_size=6, seed=0),
-        external_phi_paths=None,
+        external_phis=None,
     )
     settings.update(overrides)
     return SweepSpec(**settings)
@@ -66,15 +64,13 @@ class TestScfSweep:
         keys = [(r["method"], r["rho"], r["seed"]) for r in report.rows]
         assert keys == sorted(keys)
 
-    def test_full_rate_gaussian_positive_unitary_zero(self, small_geometry, tmp_path):
+    def test_full_rate_gaussian_positive_unitary_zero(self, small_geometry):
         unitary = CombiningMatrix(random_unitary(6, np.random.default_rng(0)))
-        path = tmp_path / "external.json"
-        path.write_text(json.dumps(unitary.to_dict()))
         spec = small_spec(
             compression_rates=(1.0,),
             seeds_per_point=1,
             methods=("gaussian", "external"),
-            external_phi_paths={"1.0": str(path)},
+            external_phis={1.0: unitary},
         )
         report = run_scf_sweep(small_geometry, spec)
         by_method = {r["method"]: r for r in report.rows}
@@ -82,28 +78,33 @@ class TestScfSweep:
         assert by_method["external"]["scf_error"] <= 1e-10
 
     def test_missing_external_reported_per_row(self, small_geometry):
-        spec = small_spec(methods=("gaussian", "external"), external_phi_paths=None)
+        spec = small_spec(methods=("gaussian", "external"), external_phis=None)
         report = run_scf_sweep(small_geometry, spec)
         external_rows = [r for r in report.rows if r["method"] == "external"]
         assert len(external_rows) == 4
-        assert all(r["status"].startswith("error") for r in external_rows)
+        assert all(r["status"].startswith("error: no external combining matrix") for r in external_rows)
         gaussian_rows = [r for r in report.rows if r["method"] == "gaussian"]
         assert all(r["status"] == "ok" for r in gaussian_rows)
 
-    def test_external_matrix_must_match_rate(self, small_geometry, tmp_path):
+    def test_external_matrix_must_match_rate(self, small_geometry):
         three_rows = CombiningMatrix(random_unitary(6, np.random.default_rng(0))[:3])
-        path = tmp_path / "external.json"
-        path.write_text(json.dumps(three_rows.to_dict()))
         spec = small_spec(
             compression_rates=(1.0,),
             seeds_per_point=1,
             methods=("external",),
-            external_phi_paths={"1.0": str(path)},
+            external_phis={1.0: three_rows},
         )
-        (row,) = run_scf_sweep(small_geometry, spec).rows
-        assert row["channels"] == 6
-        assert row["status"].startswith("error") and "3 x 6" in row["status"]
-        assert math.isnan(row["scf_error"])
+        with pytest.raises(ValueError, match="external matrix for rate 1.0 is 3 x 6, expected 6 x 6"):
+            run_scf_sweep(small_geometry, spec)
+
+    def test_design_gone_non_finite_is_an_error_row(self, small_geometry):
+        optimizer = OptimizerConfig(iterations=5, batch_size=6, step_size=1e200, seed=0)
+        spec = small_spec(compression_rates=(0.5,), seeds_per_point=1, optimizer=optimizer)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rows = run_scf_sweep(small_geometry, spec).rows
+        gaussian, sgd = rows
+        assert gaussian["status"] == "ok"
+        assert sgd["status"].startswith("error: cannot normalize") and math.isnan(sgd["scf_error"])
 
     def test_aggregates_are_quartiles_of_ok_rows(self, small_geometry):
         spec = small_spec(seeds_per_point=3, methods=("gaussian",), compression_rates=(0.5,))
@@ -125,16 +126,14 @@ class TestScfSweep:
         assert r1.rows == r4.rows
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_rows_equal_grid_scf_error_of_their_matrix(self, tmp_path, jobs):
+    def test_rows_equal_grid_scf_error_of_their_matrix(self, jobs):
         # The sweep builds the grid Gram once; each row must still be grid_scf_error's value.
         geometry = make_suca(2, 3, 0.5, 0.4)
         external = random_gaussian_phi(3, 6, 99)
-        path = tmp_path / "external.json"
-        path.write_text(json.dumps(external.to_dict()))
         spec = small_spec(
             compression_rates=(0.5,),
             methods=("gaussian", "sgd", "external"),
-            external_phi_paths={"0.5": str(path)},
+            external_phis={0.5: external},
         )
         rows = run_scf_sweep(geometry, spec, jobs=jobs).rows
         assert len(rows) == 6 and all(row["status"] == "ok" for row in rows)
@@ -145,27 +144,6 @@ class TestScfSweep:
                 "external": lambda: external,
             }[row["method"]]()
             assert row["scf_error"] == grid_scf_error(geometry, phi, spec.grid)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_external_document_is_read_once_per_rate(self, small_geometry, tmp_path, monkeypatch, jobs):
-        path = tmp_path / "external.json"
-        path.write_text(json.dumps(random_gaussian_phi(3, 6, 7).to_dict()))
-        reads = []
-
-        def counting_load_json(target):
-            reads.append(target)
-            return json.loads(Path(target).read_text())
-
-        monkeypatch.setattr(harness, "load_json", counting_load_json)
-        spec = small_spec(
-            compression_rates=(0.5,),
-            seeds_per_point=5,
-            methods=("external",),
-            external_phi_paths={"0.5": str(path)},
-        )
-        rows = run_scf_sweep(small_geometry, spec, jobs=jobs).rows
-        assert len(rows) == 5 and all(row["status"] == "ok" for row in rows)
-        assert reads == [str(path)]
 
     def test_sgd_seeds_pair_with_gaussian_baseline(self, small_geometry):
         # seed column records the per-job seed derived from the optimizer seed
@@ -220,29 +198,38 @@ class TestSweepSpecValidation:
         [
             {"compression_rates": (0.5, 1.0, 0.5)},
             {"methods": ("gaussian", "sgd", "gaussian")},
-            {"external_phi_paths": {"half": "phi.json"}},
-            {"external_phi_paths": {"0.4": "a.json", "0.40": "b.json"}},
         ],
     )
-    def test_rejects_repeats_and_non_rate_external_keys(self, overrides):
-        with pytest.raises(ValueError):
+    def test_rejects_repeats(self, overrides):
+        with pytest.raises(ValueError, match="must not repeat"):
             small_spec(**overrides)
 
     def test_rejects_external_key_of_no_rate(self):
         with pytest.raises(ValueError, match="names no rate"):
-            small_spec(methods=("external",), external_phi_paths={"0.75": "phi.json"})
+            small_spec(methods=("external",), external_phis={0.75: random_gaussian_phi(3, 6, 0)})
 
     def test_external_key_must_equal_a_rate_exactly(self):
+        phi = random_gaussian_phi(3, 6, 0)
         with pytest.raises(ValueError, match="names no rate"):
             small_spec(
                 compression_rates=(0.5,),
                 methods=("external",),
-                external_phi_paths={"0.5": "a.json", "0.5000000000001": "b.json"},
+                external_phis={0.5: phi, 0.5000000000001: phi},
             )
+
+    def test_rejects_external_value_that_is_no_matrix(self):
+        with pytest.raises(TypeError, match="must be a CombiningMatrix, got 'phi.json'"):
+            small_spec(methods=("external",), external_phis={0.5: "phi.json"})
 
     def test_rejects_external_keys_without_external_method(self):
         with pytest.raises(ValueError, match="not among methods"):
-            small_spec(methods=("gaussian",), external_phi_paths={"0.5": "phi.json"})
+            small_spec(methods=("gaussian",), external_phis={0.5: random_gaussian_phi(3, 6, 0)})
+
+    def test_to_dict_writes_each_external_matrix_under_its_rate(self):
+        phi = random_gaussian_phi(3, 6, 0)
+        doc = small_spec(methods=("external",), external_phis={0.5: phi}).to_dict()
+        assert doc["external_phis"] == {0.5: phi.to_dict()}
+        assert json.loads(json.dumps(doc))["external_phis"] == {"0.5": phi.to_dict()}
 
 
 class TestCrbExperiment:
@@ -284,6 +271,9 @@ class TestCrbExperiment:
         assert "crb_uncompressed_single.json" in names
         assert "crb_summary.csv" in names
         assert "crb_provenance.json" in names
+        header, *rows = (tmp_path / "crb_summary.csv").read_text().splitlines()
+        assert header.split(",")[-3:] == ["cells_absent", "cells_rank_deficient", "cells_unidentifiable"]
+        assert len(rows) == 3
 
     def test_default_separation_is_two_pi_tenth(self, small_geometry):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))

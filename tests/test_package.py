@@ -78,3 +78,10 @@ def test_oracles_import_no_function_from_the_package():
 def test_crb_eval_only_computes():
     tree = ast.parse((SOURCES / "crb_eval.py").read_text(encoding="utf-8"))
     assert set(imported_modules(tree)) & {"fileio", "harness"} == set()
+
+
+def test_harness_reads_no_input_file():
+    # External designs reach the sweep and the CRB suite as matrices; the CLI reads their documents.
+    tree = ast.parse((SOURCES / "harness.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if name.lstrip("_").startswith("load")} == set()

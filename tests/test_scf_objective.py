@@ -60,6 +60,12 @@ class TestCombiningMatrix:
         with pytest.raises(ValueError):
             CombiningMatrix(mat).normalize()
 
+    def test_normalize_rejects_overflowing_column_norm(self):
+        # The norm of a column of 1e200 entries is inf; dividing by it would give zeros.
+        phi = CombiningMatrix(np.full((2, 3), 1e200))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="overflows"):
+            phi.normalize()
+
     def test_json_roundtrip_is_exact(self):
         rng = np.random.default_rng(6)
         phi = random_gaussian_phi(3, 7, rng)
