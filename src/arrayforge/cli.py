@@ -5,7 +5,8 @@ flag and the config-file key, coerces the value, and holds the default.
 Option precedence is flags over config-file values over built-in defaults
 (the seed additionally falls back to the ARRAYFORGE_SEED environment
 variable before the default).  Flag strings and config JSON values go
-through the same coercer, and every coerced value, defaults included, is
+through the same coercer (a string is read first, then the value is typed
+by ``fileio._json_value``), and every coerced value, defaults included, is
 echoed into the provenance block of the artifacts it produced, except
 ``--jobs``, which results do not depend on.
 
@@ -34,9 +35,10 @@ from typing import Callable
 
 from ._version import __version__
 from .array_model import ArrayGeometry, load_geometry, make_suca
-from .fileio import atomic_write_csv, atomic_write_json, load_json
+from .fileio import _json_value, atomic_write_csv, atomic_write_json, load_json
 from .harness import (
     DEFAULT_SEPARATION,
+    SWEEP_METHODS,
     SweepSpec,
     _check_labels,
     _sweep_channels,
@@ -45,7 +47,7 @@ from .harness import (
     write_crb_report,
     write_sweep_report,
 )
-from .scf_objective import CombiningMatrix, ScfGrid, grid_scf_error
+from .scf_objective import CombiningMatrix, ScfGrid, _require_compatible, grid_scf_error
 from .sgd_designer import DesignTrace, OptimizerConfig, design
 
 __all__ = ["CliConfig", "OPTIONS", "parse_and_validate", "run", "main", "console_main"]
@@ -62,34 +64,22 @@ class CliError(Exception):
 
 
 def _integer(value) -> int:
-    if isinstance(value, str):
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError
-    return value
+    return _json_value(int(value) if isinstance(value, str) else value, "", int)
 
 
 def _number(value) -> float:
-    if isinstance(value, str):
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError
-    return float(value)
+    return _json_value(float(value) if isinstance(value, str) else value, "", float)
 
 
 def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError
-    return value
+    return _json_value(value, "", str)
 
 
 def _listed(item: Callable) -> Callable:
     def parse(value) -> tuple:
         if isinstance(value, str):
             value = [part for part in value.split(",") if part.strip()]
-        if not isinstance(value, list):
-            raise TypeError
-        return tuple(item(part) for part in value)
+        return tuple(item(part) for part in _json_value(value, "", list))
 
     return parse
 
@@ -100,9 +90,7 @@ def _pairs(value) -> dict:
         value = dict(pairs)
         if len(value) != len(pairs):
             raise ValueError
-    if not isinstance(value, dict):
-        raise TypeError
-    return {key: _text(path) for key, path in value.items()}
+    return {key: _text(path) for key, path in _json_value(value, "", dict).items()}
 
 
 @dataclass(frozen=True)
@@ -158,7 +146,7 @@ class Option:
     def coerce(self, value, source: str):
         try:
             result = self.type.parse(value)
-        except (TypeError, ValueError):
+        except ValueError:
             raise CliError(f"{source} must be {self.type.description}, got {value!r}") from None
         if self.bound is not None and not self.bound[0](result):
             raise CliError(f"{source} must be {self.bound[1]}, got {result!r}")
@@ -175,6 +163,7 @@ _ALL = tuple(COMMANDS)
 _GRID = ("evaluate-scf", "evaluate-crb", "sweep")
 _OPTIMIZER = ("design", "sweep")
 _POSITIVE = (lambda v: v > 0.0, "positive")
+_SGD = OptimizerConfig()
 
 OPTIONS = (
     Option("geometry", TEXT, None, _ALL, "geometry JSON file (excludes the SUCA options)"),
@@ -182,23 +171,24 @@ OPTIONS = (
     Option("per_stack", INTEGER, 11, _ALL, "SUCA elements per stack"),
     Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths"),
     Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
-    Option("seed", INTEGER, 0, _ALL, f"random seed (falls back to {SEED_ENV_VAR})", (lambda v: v >= 0, ">= 0")),
+    Option("seed", INTEGER, _SGD.seed, _ALL, f"random seed (falls back to {SEED_ENV_VAR})",
+           (lambda v: v >= 0, ">= 0")),
     # Only sweep runs jobs in parallel; results do not depend on it, so it is not recorded.
     Option("jobs", INTEGER, _usable_cores(), _ALL,
            "sweep worker threads, each using one BLAS thread (default: the cores this process may use)",
            (lambda v: v >= 1, ">= 1")),
     Option("out", TEXT, _REQUIRED, _ALL, "output file or directory"),
     Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
-    Option("iters", INTEGER, 5000, _OPTIMIZER, "SGD iterations"),
-    Option("batch", INTEGER, 250, _OPTIMIZER, "directions per SGD batch"),
-    Option("alpha", NUMBER, 1e-2, _OPTIMIZER, "SGD step size"),
-    Option("eta", NUMBER, 0.1, _OPTIMIZER, "momentum drag", (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
-    Option("renormalize_every", INTEGER, 1, _OPTIMIZER, "column renormalization period"),
-    Option("record_every", INTEGER, 1, _OPTIMIZER, "cost recording period"),
-    Option("sample_az_min", NUMBER, 0.0, _OPTIMIZER, "lowest sampled azimuth"),
-    Option("sample_az_max", NUMBER, 2.0 * math.pi, _OPTIMIZER, "highest sampled azimuth"),
-    Option("sample_el_min", NUMBER, math.pi / 4.0, _OPTIMIZER, "lowest sampled polar elevation"),
-    Option("sample_el_max", NUMBER, 3.0 * math.pi / 4.0, _OPTIMIZER, "highest sampled polar elevation"),
+    Option("iters", INTEGER, _SGD.iterations, _OPTIMIZER, "SGD iterations"),
+    Option("batch", INTEGER, _SGD.batch_size, _OPTIMIZER, "directions per SGD batch"),
+    Option("alpha", NUMBER, _SGD.step_size, _OPTIMIZER, "SGD step size"),
+    Option("eta", NUMBER, _SGD.drag, _OPTIMIZER, "momentum drag", (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+    Option("renormalize_every", INTEGER, _SGD.renormalize_every, _OPTIMIZER, "column renormalization period"),
+    Option("record_every", INTEGER, _SGD.record_every, _OPTIMIZER, "cost recording period"),
+    Option("sample_az_min", NUMBER, _SGD.azimuth_range[0], _OPTIMIZER, "lowest sampled azimuth"),
+    Option("sample_az_max", NUMBER, _SGD.azimuth_range[1], _OPTIMIZER, "highest sampled azimuth"),
+    Option("sample_el_min", NUMBER, _SGD.elevation_range[0], _OPTIMIZER, "lowest sampled polar elevation"),
+    Option("sample_el_max", NUMBER, _SGD.elevation_range[1], _OPTIMIZER, "highest sampled polar elevation"),
     Option("grid_az", INTEGER, 121, _GRID, "grid azimuth count"),
     Option("grid_el", INTEGER, 61, _GRID, "grid elevation count"),
     Option("az_min", NUMBER, -math.pi, _GRID, "grid azimuth start"),
@@ -213,7 +203,8 @@ OPTIONS = (
     Option("separation", NUMBER, DEFAULT_SEPARATION, ("evaluate-crb",), "pair separation", _POSITIVE),
     Option("rates", NUMBERS, (0.2, 0.4, 0.6), ("sweep",), "comma-separated compression rates in (0, 1]"),
     Option("seeds_per_point", INTEGER, 5, ("sweep",), "seeds per (method, rate)"),
-    Option("methods", NAMES, ("gaussian", "sgd"), ("sweep",), "comma-separated subset of gaussian,sgd,external"),
+    Option("methods", NAMES, ("gaussian", "sgd"), ("sweep",),
+           f"comma-separated subset of {','.join(SWEEP_METHODS)}"),
     Option("external_phi", PAIRS, {}, ("sweep",),
            "RATE=PATH of an externally designed matrix or design trace JSON (repeatable)"),
 )
@@ -227,12 +218,12 @@ class CliConfig:
 
     ``options`` holds the coerced value of every option the subcommand
     takes except ``jobs``: the provenance echo, and the runners' source of
-    scalar options.  The other fields are the objects built from it, every
-    input document included, so the runners read no input file:
-    evaluate-scf's ``phi`` and its ``trace`` (None for a bare matrix),
-    evaluate-crb's ``phis`` by label, the sweep's ``spec.external_phis`` by
-    rate.  ``blas_threads`` is the OpenBLAS thread count ``main`` ran the
-    command with (None: unpinned).
+    scalar options, evaluate-scf's method and seed as used (taken from the
+    document when not given).  The other fields are the objects built from
+    it, every input document included, so the runners read no input file:
+    evaluate-scf's ``phi``, evaluate-crb's ``phis`` by label, the sweep's
+    ``spec.external_phis`` by rate.  ``blas_threads`` is the OpenBLAS
+    thread count ``main`` ran the command with (None: unpinned).
     """
 
     command: str
@@ -240,12 +231,10 @@ class CliConfig:
     out: Path
     jobs: int
     options: dict
-    seed_given: bool = False
     optimizer: OptimizerConfig | None = None
     grid: ScfGrid | None = None
     spec: SweepSpec | None = None
     phi: CombiningMatrix | None = None
-    trace: DesignTrace | None = None
     phis: dict = field(default_factory=dict)
     blas_threads: int | None = None
 
@@ -366,14 +355,12 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
     ``ValueError`` is a validation failure.
     """
     geometry = _resolve_geometry(v, given)
-    jobs = v.pop("jobs")
     cfg = CliConfig(
         command=command,
         geometry=geometry,
         out=Path(v["out"]),
-        jobs=jobs,
+        jobs=v.pop("jobs"),
         options=v,
-        seed_given="seed" in given,
     )
     if command in _GRID:
         cfg.grid = ScfGrid(
@@ -394,12 +381,21 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
     if command == "design" and not 1 <= v["channels"] <= geometry.element_count:
         # design() checks this only when it runs, which would exit 1.
         raise CliError(f"--channels must lie in 1..{geometry.element_count}, got {v['channels']}")
+
+    def read_phi(path):  # a --phi matrix must have one column per array element
+        phi, trace = _load_phi_document(path)
+        _require_compatible(geometry, phi)
+        return phi, trace
     if command == "evaluate-scf":
-        cfg.phi, cfg.trace = _read_input("combining matrix", v["phi"], _load_phi_document)
+        cfg.phi, trace = _read_input("combining matrix", v["phi"], read_phi)
+        if v["method"] is None:
+            v["method"] = "external" if trace is None else "sgd"
+        if trace is not None and "seed" not in given:
+            v["seed"] = trace.config.seed
     elif command == "evaluate-crb":
         labels = [name or Path(text).stem for name, text in v["phi"].items()]
         _check_labels(labels)
-        documents = [_read_input("combining matrix", text, _load_phi_document) for text in v["phi"].values()]
+        documents = [_read_input("combining matrix", text, read_phi) for text in v["phi"].values()]
         cfg.phis = {label: phi for label, (phi, _) in zip(labels, documents)}
     elif command == "sweep":
         keys, sources, phis = {}, {}, {}
@@ -466,17 +462,11 @@ def _run_design(config: CliConfig) -> int:
 
 
 def _run_evaluate_scf(config: CliConfig) -> int:
-    phi, trace, v = config.phi, config.trace, config.options
-    method = v["method"]
-    if method is None:
-        method = "external" if trace is None else "sgd"
-    seed = v["seed"]
-    if not config.seed_given and trace is not None:
-        seed = trace.config.seed
+    phi, v = config.phi, config.options
     error = grid_scf_error(config.geometry, phi, config.grid)
     rho = phi.rows / config.geometry.element_count
-    atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho, method, seed, error]])
-    _emit(config.out, f"rho={rho:.6g}, method={method}, scf_error={error:.6g}")
+    atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho, v["method"], v["seed"], error]])
+    _emit(config.out, f"rho={rho:.6g}, method={v['method']}, scf_error={error:.6g}")
     sidecar = config.out.parent / (config.out.stem + "_provenance.json")
     doc = _provenance(config)
     doc["grid"] = config.grid.to_dict()

@@ -53,6 +53,11 @@ class UnidentifiableScenarioError(ValueError):
         self.condition = condition
 
 
+def _check_noise_variance(noise_variance: float) -> None:
+    if not (math.isfinite(noise_variance) and noise_variance > 0.0):
+        raise ValueError("noise variance must be positive")
+
+
 @dataclass
 class CrbScenario:
     """Sources, amplitudes, noise level, and the combining matrix under test.
@@ -77,8 +82,7 @@ class CrbScenario:
         if not np.any(amps != 0.0):
             raise ValueError("amplitudes must not all be zero")
         self.amplitudes = amps
-        if not (math.isfinite(self.noise_variance) and self.noise_variance > 0.0):
-            raise ValueError("noise variance must be positive")
+        _check_noise_variance(self.noise_variance)
 
 
 @dataclass(frozen=True)
@@ -165,14 +169,15 @@ class CrbMap:
     def log10_statistics(self) -> dict:
         """Median and sample variance of log10(C) over the valid cells, and the cell count per status."""
         logs = np.log10(self.ok_values())
+        # The key order is the column order of crb_summary.csv.
         return {
             "cells_total": int(self.values.size),
             "cells_ok": int(logs.size),
+            "median_log10_crb": float(np.median(logs)) if logs.size else math.nan,
+            "variance_log10_crb": float(np.var(logs, ddof=1)) if logs.size > 1 else math.nan,
             "cells_absent": int(np.count_nonzero(self.status == "absent")),
             "cells_rank_deficient": int(np.count_nonzero(self.status == "rank-deficient")),
             "cells_unidentifiable": int(np.count_nonzero(self.status == "unidentifiable")),
-            "median_log10_crb": float(np.median(logs)) if logs.size else math.nan,
-            "variance_log10_crb": float(np.var(logs, ddof=1)) if logs.size > 1 else math.nan,
         }
 
 
@@ -196,8 +201,7 @@ def crb_map(
     pair = scenario_kind != "single"
     if pair and not (separation is not None and 0.0 < separation < math.inf):
         raise ValueError("pair scenarios need a positive, finite separation")
-    if not 0.0 < noise_variance < math.inf:
-        raise ValueError("noise variance must be positive")
+    _check_noise_variance(noise_variance)
     azimuth, elevation = np.meshgrid(grid.azimuths(), grid.elevations(), indexing="ij")
     present = np.ones(grid.elevation_count, dtype=bool)
     sources = [(azimuth, elevation)]

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from collections.abc import Mapping
 from pathlib import Path
@@ -70,7 +71,7 @@ def load_json(path) -> dict:
 
 # JSON kind -> (its name, the Python types that hold it); a tuple passes as
 # a list so that a document's to_dict() form reads back.
-_JSON_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+_JSON_KINDS = {int: ("an integer", int), float: ("a finite number", (int, float)), str: ("a string", str),
                list: ("a list", (list, tuple)), dict: ("an object", dict)}
 
 
@@ -86,11 +87,13 @@ def _require_keys(data, keys, document: str) -> None:
 def _json_value(value, key: str, kind: type):
     """``value``, read from document key ``key``, if it is of JSON type ``kind``.
 
-    ``kind`` is int, float (any JSON number, returned as a float), list or
-    dict; a boolean is neither an integer nor a number.
+    ``kind`` is int, float (a finite number, returned as a float), str, list
+    or dict; a boolean is neither an integer nor a number.
     """
     name, types = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
+    typed = isinstance(value, types) and not isinstance(value, bool)
+    # The bound fails for NaN, the infinities (json.load reads both) and integers too large for a float.
+    if not typed or (kind is float and not abs(value) <= sys.float_info.max):
         raise ValueError(f'"{key}" must be {name}, got {value!r}')
     return float(value) if kind is float else value
 

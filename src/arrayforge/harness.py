@@ -12,6 +12,7 @@ rule lives here too.  It reads no input file: designs arrive as matrices.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -21,8 +22,8 @@ import numpy as np
 
 from ._version import __version__
 from .array_model import ArrayGeometry
-from .crb_eval import CrbMap, crb_map
-from .fileio import atomic_write_csv, atomic_write_json
+from .crb_eval import _MAP_KINDS, CrbMap, crb_map
+from .fileio import atomic_write_csv, atomic_write_json, canonical_json
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
 
@@ -41,10 +42,14 @@ SWEEP_METHODS = ("gaussian", "sgd", "external")
 DEFAULT_SEPARATION = 2.0 * math.pi / 10.0
 
 
-def channels_for_rate(rate: float, elements: int) -> int:
-    """Channel count for a compression rate: M = round(rate * N), half up."""
+def _check_rate(rate: float) -> None:
     if not (math.isfinite(rate) and 0.0 < rate <= 1.0):
         raise ValueError(f"compression rate must lie in (0, 1], got {rate}")
+
+
+def channels_for_rate(rate: float, elements: int) -> int:
+    """Channel count for a compression rate: M = round(rate * N), half up."""
+    _check_rate(rate)
     m = int(math.floor(rate * elements + 0.5))
     if not 1 <= m <= elements:
         raise ValueError(f"rate {rate} maps to {m} channels, outside 1..{elements}")
@@ -77,8 +82,7 @@ class SweepSpec:
         if len(self.compression_rates) < 1:
             raise ValueError("need at least one compression rate")
         for rate in self.compression_rates:
-            if not (math.isfinite(rate) and 0.0 < rate <= 1.0):
-                raise ValueError(f"compression rate must lie in (0, 1], got {rate}")
+            _check_rate(rate)
         if self.seeds_per_point < 1:
             raise ValueError("seeds_per_point must be at least 1")
         if len(self.methods) < 1:
@@ -98,8 +102,10 @@ class SweepSpec:
             raise ValueError(f'external matrices are given but "external" is not among methods {self.methods}')
 
     def to_dict(self) -> dict:
+        """The spec as a JSON-ready dict; each external matrix is the SHA-256 of its canonical JSON."""
         doc = asdict(replace(self, external_phis=None))
-        doc["external_phis"] = {rate: phi.to_dict() for rate, phi in self.external_phis.items()}
+        for rate, phi in self.external_phis.items():
+            doc["external_phis"][rate] = hashlib.sha256(canonical_json(phi.to_dict()).encode()).hexdigest()
         return doc
 
 
@@ -158,11 +164,9 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     channels_at = _sweep_channels(geometry, spec)
     grid_gram = _steering_gram(geometry, *spec.grid.angles())
 
+    seeds = [spec.optimizer.seed + j for j in range(spec.seeds_per_point)]
     job_list = [
-        (method, rate, spec.optimizer.seed + offset)
-        for method in spec.methods
-        for rate in spec.compression_rates
-        for offset in range(spec.seeds_per_point)
+        (method, rate, seed) for method in spec.methods for rate in spec.compression_rates for seed in seeds
     ]
 
     def worker(job):
@@ -211,7 +215,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
         "package_version": __version__,
         "geometry": geometry.to_dict(),
         "spec": spec.to_dict(),
-        "seeds": [spec.optimizer.seed + j for j in range(spec.seeds_per_point)],
+        "seeds": seeds,
         "channel_rule": "channels = floor(rate * elements + 0.5)",
     }
     return ExperimentReport(rows, aggregates, provenance)
@@ -235,7 +239,7 @@ def run_crb_experiment(
 
     maps, rows = [], []
     for name, phi in sorted({"uncompressed": None, **phis}.items()):
-        for kind in sorted(("single", "azimuth-pair", "elevation-pair")):
+        for kind in sorted(_MAP_KINDS):
             sep = None if kind == "single" else separation
             map_ = crb_map(geometry, phi, grid, kind, sep, noise_variance)
             maps.append((name, kind, map_))
@@ -302,7 +306,7 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
 
 
 def write_crb_report(report: ExperimentReport, outdir) -> list:
-    """Write one CSV+JSON pair per map, a summary CSV, and provenance."""
+    """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance."""
     outdir = Path(outdir)
     written = []
     for name, kind, map_ in report.maps or []:
@@ -310,8 +314,6 @@ def write_crb_report(report: ExperimentReport, outdir) -> list:
             map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name}
         )
         written.extend([csv_path, json_path])
-    header = ["method", "kind", "cells_total", "cells_ok", "median_log10_crb", "variance_log10_crb",
-              "cells_absent", "cells_rank_deficient", "cells_unidentifiable"]
-    written.append(atomic_write_csv(outdir / "crb_summary.csv", header, report.rows))
+    written.append(atomic_write_csv(outdir / "crb_summary.csv", list(report.rows[0]), report.rows))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))
     return written

@@ -114,6 +114,13 @@ class TestValidationErrors:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([{"schema_version": 1}]))
+        code = main(["design", "--channels", "2", "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert code == 2
+        assert f"config file {cfg} must hold a JSON object" in capsys.readouterr().err
+
     def test_unversioned_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"batch": 10}))
@@ -131,12 +138,16 @@ class TestValidationErrors:
             ("design", {"out": 5}, "--out"),
             ("design", {"geometry": 3}, "--geometry"),
             ("evaluate-scf", {"phi": {"rows": 1, "cols": 33}}, "--phi"),
+            ("sweep", {"rates": 0.4}, "--rates"),
+            ("evaluate-crb", {"phi": 5}, "--phi"),
+            ("design", {"alpha": int("1" * 401)}, "--alpha"),
         ],
     )
     def test_config_values_coerced_strictly(self, tmp_path, capsys, command, values, flag):
         base = {
             "design": {"channels": 2, "iters": 2, "batch": 3},
             "evaluate-scf": {},
+            "evaluate-crb": {},
             "sweep": {"rates": [0.5], "methods": ["gaussian"], "seeds_per_point": 1},
         }[command]
         cfg = tmp_path / "config.json"
@@ -150,6 +161,21 @@ class TestValidationErrors:
         out = tmp_path / "t.json"
         assert main(["design", "--channels", channels, "--out", str(out)]) == 2
         assert f"--channels must lie in 1..33, got {channels}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["design", "--channels", "2", "--alpha", "nan"], "--alpha must be a finite number, got 'nan'"),
+            (["design", "--channels", "2", "--alpha", "inf"], "--alpha must be a finite number, got 'inf'"),
+            (["sweep", "--rates", ""], "need at least one compression rate"),
+        ],
+        ids=["alpha-nan", "alpha-inf", "rates-empty"],
+    )
+    def test_flag_values_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_methods_rejected(self, tmp_path, capsys):
@@ -238,7 +264,7 @@ class TestCliSurface:
         expected = {
             ("design", "--channels", "3"): {**COMMON_DEFAULTS, **OPTIMIZER_DEFAULTS, "channels": 3},
             ("evaluate-scf", "--phi", str(phi_path)): {
-                **COMMON_DEFAULTS, **GRID_DEFAULTS, "phi": str(phi_path), "method": None,
+                **COMMON_DEFAULTS, **GRID_DEFAULTS, "phi": str(phi_path), "method": "external",
             },
             ("evaluate-crb",): {
                 **COMMON_DEFAULTS, **GRID_DEFAULTS, "phi": {}, "sigma2": 1.0, "separation": 2 * math.pi / 10,
@@ -375,13 +401,32 @@ class TestEvaluateScfCommand:
         assert rows[1][1] == "external"
         assert float(rows[1][3]) <= 1e-10
 
-    def test_dimension_mismatch_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, phi", [("evaluate-scf", "{}"), ("evaluate-crb", "z={}")], ids=["evaluate-scf", "evaluate-crb"]
+    )
+    def test_dimension_mismatch_is_validation_error(self, tmp_path, capsys, command, phi):
         unitary = CombiningMatrix(random_unitary(4, np.random.default_rng(0)))
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps(unitary.to_dict()))
-        code = main(["evaluate-scf", *SMALL_GRID, "--phi", str(phi_path), "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert "columns" in capsys.readouterr().err
+        out = tmp_path / "out"
+        code = main([command, *SMALL_GRID, "--phi", phi.format(phi_path), "--out", str(out / "o.csv")])
+        assert code == 2
+        assert (
+            f"could not read combining matrix {phi_path}: combining matrix has 4 columns but the array has 33 elements"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["trace-seed", "given-seed"])
+    def test_echo_holds_the_method_and_seed_used(self, tmp_path, seed):
+        trace = run_design(tmp_path)
+        out = tmp_path / "scf.csv"
+        argv = ["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(trace), *seed, "--out", str(out)]
+        assert main(argv) == 0
+        _, method, row_seed, _ = read_rows(out)[1]
+        options = json.loads((tmp_path / "scf_provenance.json").read_text())["resolved_options"]
+        assert (method, row_seed) == ("sgd", seed[-1] if seed else "3")
+        assert (options["method"], options["seed"]) == (method, int(row_seed))
 
     @pytest.mark.parametrize(
         "path, value, key",
@@ -414,6 +459,7 @@ class TestEvaluateScfCommand:
             (("config", "drag"), False, "drag"),
             (("phi", "re", 0, 0), "1", "re"),
             (("phi", "im", 0, 0), True, "im"),
+            (("costs", 1, 1), math.nan, "costs[1][1]"),
         ],
         ids=[
             "seed", "iterations", "batch_size", "renormalize_every", "record_every",
@@ -421,7 +467,7 @@ class TestEvaluateScfCommand:
             "no-costs", "no-channels", "no-config", "no-seed", "no-step_size", "no-im",
             "no-phi", "config-number", "costs-number", "cost-entry-number", "cost-value-string",
             "phi-list", "range-string", "range-bound-string", "step_size-string", "drag-bool",
-            "re-string", "im-bool",
+            "re-string", "im-bool", "cost-nan",
         ],
     )
     def test_trace_integer_fields_read_strictly(self, tmp_path, capsys, path, value, key):
@@ -499,8 +545,12 @@ class TestEvaluateCrbCommand:
             ("{not json", "Expecting property name"),
             (json.dumps({"rows": 1, "cols": 4, "re": [[1.0, 0.0, 0.0, 0.0]]}), '"im"'),
             ("[1, 2]", "must be a JSON object"),
+            (json.dumps({"rows": 1, "cols": 4, "re": [[int("1" * 401), 0, 0, 0]], "im": [[0, 0, 0, 0]]}),
+             '"re" must be a finite number'),
+            (json.dumps({"rows": 1, "cols": 4, "re": [[math.nan, 0, 0, 0]], "im": [[0, 0, 0, 0]]}),
+             '"re" must be a finite number'),
         ],
-        ids=["not-json", "no-im", "json-list"],
+        ids=["not-json", "no-im", "json-list", "re-overflow", "re-nan"],
     )
     def test_malformed_document_is_validation_error_naming_its_file(self, tmp_path, capsys, bad_text, fragment):
         doc = CombiningMatrix(random_unitary(4, np.random.default_rng(1))[:2]).to_dict()

@@ -46,6 +46,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             CrbScenario((Direction(0, 1),), np.array([0.0]), 1.0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_rejects_nonfinite_amplitudes(self, amplitude):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            CrbScenario((Direction(0, 1),), np.array([amplitude]), 1.0)
+
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):
             CrbScenario((Direction(0, 1),), np.array([1.0]), 0.0)

@@ -2,7 +2,9 @@ import csv
 import math
 import struct
 
-from arrayforge.fileio import atomic_write_csv
+import pytest
+
+from arrayforge.fileio import _json_value, atomic_write_csv
 
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]
 INTS = [0, -7, 2**70]
@@ -33,3 +35,11 @@ def test_mapping_rows_write_the_bytes_of_sequence_rows(tmp_path):
     mappings = [dict(reversed(list(zip(header, row)))) for row in (values, values[::-1])]
     as_mapping = atomic_write_csv(tmp_path / "map.csv", header, mappings)
     assert as_mapping.read_bytes() == as_sequence.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400, True, "0.5"], ids=["nan", "inf", "-inf", "10**400", "bool", "text"]
+)
+def test_json_number_must_be_a_finite_number(value):
+    with pytest.raises(ValueError, match='"x" must be a finite number'):
+        _json_value(value, "x", float)

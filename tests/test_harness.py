@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -228,8 +229,10 @@ class TestSweepSpecValidation:
     def test_to_dict_writes_each_external_matrix_under_its_rate(self):
         phi = random_gaussian_phi(3, 6, 0)
         doc = small_spec(methods=("external",), external_phis={0.5: phi}).to_dict()
-        assert doc["external_phis"] == {0.5: phi.to_dict()}
-        assert json.loads(json.dumps(doc))["external_phis"] == {"0.5": phi.to_dict()}
+        canonical = json.dumps(phi.to_dict(), indent=2, sort_keys=True) + "\n"
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert doc["external_phis"] == {0.5: digest}
+        assert json.loads(json.dumps(doc))["external_phis"] == {"0.5": digest}
 
 
 class TestCrbExperiment:

@@ -41,6 +41,10 @@ class TestCombiningMatrix:
         with pytest.raises(ValueError):
             CombiningMatrix(np.ones((3, 2)))
 
+    def test_rejects_one_dimensional_entries(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            CombiningMatrix(np.ones(3))
+
     def test_rejects_nonfinite_entries(self):
         bad = np.ones((2, 3), dtype=complex)
         bad[0, 0] = math.nan

@@ -49,6 +49,19 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(elevation_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("iterations", -1, "iterations must not be negative"),
+            ("batch_size", 0, "batch_size must be at least 1"),
+            ("seed", -1, "seed must be a nonnegative integer"),
+            ("record_every", 0, "record_every must be at least 1"),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(**{field: value})
+
     def test_allows_zero_iterations(self):
         assert OptimizerConfig(iterations=0).iterations == 0
 
