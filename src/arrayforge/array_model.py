@@ -160,6 +160,16 @@ def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> 
     )
 
 
+def _phase_derivatives(geometry: ArrayGeometry, az: np.ndarray, el: np.ndarray) -> tuple:
+    """Real N x L phase derivatives 2 pi <p, du/d azimuth> and 2 pi <p, du/d elevation>.
+
+    d A / d angle is j times the angle's phase derivative times A.
+    """
+    du_daz = np.stack([-np.sin(az) * np.sin(el), np.cos(az) * np.sin(el), np.zeros_like(az)])
+    du_del = np.stack([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), -np.sin(el)])
+    return _TWO_PI * (geometry.positions @ du_daz), _TWO_PI * (geometry.positions @ du_del)
+
+
 def steering_derivative_angles(geometry: ArrayGeometry, azimuth, elevation):
     """``steering_angles`` A and its (d A / d azimuth, d A / d elevation), each N x L.
 
@@ -167,10 +177,8 @@ def steering_derivative_angles(geometry: ArrayGeometry, azimuth, elevation):
     """
     az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
     a = steering_angles(geometry, az, el)
-    du_daz = np.stack([-np.sin(az) * np.sin(el), np.cos(az) * np.sin(el), np.zeros_like(az)])
-    du_del = np.stack([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), -np.sin(el)])
-    factor = 1j * _TWO_PI
-    return a, factor * (geometry.positions @ du_daz) * a, factor * (geometry.positions @ du_del) * a
+    phase_az, phase_el = _phase_derivatives(geometry, az, el)
+    return a, 1j * phase_az * a, 1j * phase_el * a
 
 
 def steering_derivative(geometry: ArrayGeometry, direction: Direction):

@@ -177,7 +177,8 @@ OPTIONS = (
     Option("jobs", INTEGER, _usable_cores(), _ALL,
            "sweep worker threads, each using one BLAS thread (default: the cores this process may use)",
            (lambda v: v >= 1, ">= 1")),
-    Option("out", TEXT, _REQUIRED, _ALL, "output file or directory"),
+    Option("out", TEXT, _REQUIRED, _ALL, "output file (design, evaluate-scf) or directory (evaluate-crb, sweep)",
+           (lambda v: v != "", "a nonempty path")),
     Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
     Option("iters", INTEGER, _SGD.iterations, _OPTIMIZER, "SGD iterations"),
     Option("batch", INTEGER, _SGD.batch_size, _OPTIMIZER, "directions per SGD batch"),

@@ -9,7 +9,15 @@ the trace of the inverse concentrated Fisher information (Stoica & Nehorai 1989)
 where G stacks the compressed source steering vectors, D their azimuth and
 elevation derivatives (azimuth block first), and R = x x^H is the rank-one
 sample covariance of the source amplitudes.  Noise is white with variance
-sigma^2 at the compressed outputs.  ``crb`` and ``crb_map`` call one batched routine.
+sigma^2 at the compressed outputs.
+
+``crb`` and ``crb_map`` call one batched routine, ``_crb_batch``: ``crb`` as
+a batch of one scenario, ``crb_map`` on blocks of ``_BLOCK_CELLS`` grid
+cells, so that its working set does not grow with the grid (a block's
+steering columns take 0.8 MB at N = 33, S = 2).  The routine compresses
+every cell's [A | dA/daz | dA/del] with one product and reads G^H G, D^H G
+and D^H D out of one 3S x 3S Gram per cell.  It leaves out the factor j
+common to both derivatives, which cancels in F.
 This module only computes: ``harness.write_crb_map`` names and writes map files.
 """
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, steering_derivative_angles
+from .array_model import ArrayGeometry, _phase_derivatives, steering_angles
 from .scf_objective import CombiningMatrix, ScfGrid, _require_compatible
 
 __all__ = [
@@ -39,6 +47,11 @@ CONDITION_LIMIT = 1e12
 _INFORMATION_FLOOR = 1e-12
 
 _MAP_KINDS = ("single", "azimuth-pair", "elevation-pair")
+# A map cell's status; crb_map indexes this tuple by a status code.
+_STATUSES = ("ok", "rank-deficient", "unidentifiable", "absent")
+# Cells per crb_map block: a block holds N x 3 x cells x S complex steering
+# columns (0.8 MB at N = 33, S = 2) and cells x 3S x 3S Grams, whatever the grid.
+_BLOCK_CELLS = 256
 
 
 class RankDeficientSteeringError(ValueError):
@@ -102,25 +115,38 @@ def _crb_batch(geometry, phi: CombiningMatrix | None, azimuth, elevation, amplit
     All K scenarios share the S ``amplitudes``.  Returns the values
     sigma^2 / 2 tr(F^{-1}) (NaN where flagged), the FIM conditions, and the
     disjoint rank-deficient and unidentifiable masks, each of length K.
+
+    Each cell's N x 3S block [A | dA/daz | dA/del] is compressed by one
+    GEMM for all K cells, and one 3S x 3S Gram per cell holds G^H G, D^H G
+    and D^H D.  The derivatives omit their common factor j: it multiplies
+    D^H D by |j|^2 = 1 and D^H G (G^H G)^{-1} G^H D by j^* j = 1, so F is
+    unchanged.
     """
     k, s = azimuth.shape
-    steer = steering_derivative_angles(geometry, azimuth.ravel(), elevation.ravel())
-    # Each N x KS matrix becomes K x N x S; D puts the azimuth block first.
-    g, d_az, d_el = (m.reshape(-1, k, s).swapaxes(0, 1) for m in steer)
-    d = np.concatenate([d_az, d_el], axis=2)
+    az, el = azimuth.ravel(), elevation.ravel()
+    a = steering_angles(geometry, az, el)
+    n = geometry.element_count
+    # Cell c's columns 3Sc .. 3S(c + 1) hold its A, then D (azimuth block first).
+    block = np.empty((n, k, 3, s), dtype=complex)
+    block[:, :, 0] = a.reshape(n, k, s)
+    for row, phase in enumerate(_phase_derivatives(geometry, az, el), start=1):
+        block[:, :, row] = (phase * a).reshape(n, k, s)
+    h = block.reshape(n, 3 * k * s)
     if phi is not None:
         _require_compatible(geometry, phi)
-        g, d = phi.entries @ g, phi.entries @ d
-    g_h, d_h = g.conj().swapaxes(1, 2), d.conj().swapaxes(1, 2)
-    gram = g_h @ g
-    rank_deficient = _condition(np.linalg.eigvalsh(gram)) > CONDITION_LIMIT
+        h = phi.entries @ h
+    cells = h.reshape(-1, k, 3 * s).transpose(1, 0, 2)
+    gram = cells.conj().transpose(0, 2, 1) @ cells
+    g_g, d_g, d_d = gram[:, :s, :s], gram[:, s:, :s], gram[:, s:, s:]
+    rank_deficient = _condition(np.linalg.eigvalsh(g_g)) > CONDITION_LIMIT
     # Flagged cells solve against I so that their discarded FIM stays finite.
-    gram[rank_deficient] = np.eye(s)
-    info = d_h @ d - (d_h @ g) @ np.linalg.solve(gram, g_h @ d)
+    g_g[rank_deficient] = np.eye(s)
+    info = d_d - d_g @ np.linalg.solve(g_g, d_g.conj().transpose(0, 2, 1))
     weight = np.tile(np.outer(amplitudes, np.conj(amplitudes)), (2, 2)).T
     eig = np.linalg.eigvalsh(np.real(info * weight))
     condition = _condition(eig)
-    scale = np.sum(np.abs(d) ** 2, axis=(1, 2)) * np.sum(np.abs(amplitudes) ** 2)
+    # ||D||_F^2 is the trace of D^H D.
+    scale = np.trace(d_d, axis1=1, axis2=2).real * np.sum(np.abs(amplitudes) ** 2)
     unidentifiable = (condition > CONDITION_LIMIT) | (eig[:, -1] <= _INFORMATION_FLOOR * scale)
     unidentifiable &= ~rank_deficient
     ok = ~(rank_deficient | unidentifiable)
@@ -202,24 +228,25 @@ def crb_map(
     if pair and not (separation is not None and 0.0 < separation < math.inf):
         raise ValueError("pair scenarios need a positive, finite separation")
     _check_noise_variance(noise_variance)
-    azimuth, elevation = np.meshgrid(grid.azimuths(), grid.elevations(), indexing="ij")
-    present = np.ones(grid.elevation_count, dtype=bool)
+    azimuth, elevation = grid.angles()
+    present = np.ones(azimuth.shape, dtype=bool)
     sources = [(azimuth, elevation)]
     if scenario_kind == "azimuth-pair":
         sources.append(((azimuth + separation) % (2.0 * math.pi), elevation))
     elif scenario_kind == "elevation-pair":
         sources.append((azimuth, elevation + separation))
-        present = (0.0 < elevation[0] + separation) & (elevation[0] + separation < math.pi)
+        present = (0.0 < elevation + separation) & (elevation + separation < math.pi)
     source_azimuth, source_elevation = (np.stack(arrays, axis=-1) for arrays in zip(*sources))
     values = np.full(azimuth.shape, math.nan)
-    status = np.full(azimuth.shape, "absent", dtype=object)
-    # One batch per azimuth row keeps the working set to elevation_count cells.
-    for i in range(grid.azimuth_count if present.any() else 0):
-        values[i, present], _, rank_deficient, unidentifiable = _crb_batch(
-            geometry, phi, source_azimuth[i, present], source_elevation[i, present],
-            np.ones(len(sources)), noise_variance,
+    code = np.full(azimuth.shape, _STATUSES.index("absent"))
+    index = np.flatnonzero(present)
+    for start in range(0, len(index), _BLOCK_CELLS):
+        cells = index[start : start + _BLOCK_CELLS]
+        values[cells], _, rank_deficient, unidentifiable = _crb_batch(
+            geometry, phi, source_azimuth[cells], source_elevation[cells], np.ones(len(sources)), noise_variance
         )
-        status[i, present] = np.where(
-            rank_deficient, "rank-deficient", np.where(unidentifiable, "unidentifiable", "ok")
-        )
-    return CrbMap(grid, scenario_kind, separation if pair else None, noise_variance, values, status)
+        # The masks are disjoint, so this is the index into _STATUSES.
+        code[cells] = rank_deficient + 2 * unidentifiable
+    shape = (grid.azimuth_count, grid.elevation_count)
+    status = np.array(_STATUSES, dtype=object)[code].reshape(shape)
+    return CrbMap(grid, scenario_kind, separation if pair else None, noise_variance, values.reshape(shape), status)

@@ -2,16 +2,20 @@
 
 All writers serialize fully in memory, write to a temporary file next to
 the target, and rename it into place, so an interrupted run never leaves
-a truncated artifact behind.  Output is canonical (sorted JSON keys, LF
-line endings, repr floats) so identical inputs produce identical bytes.
-This module owns the CSV cell format: callers pass Python scalars and
-never encode cells themselves.  Document readers check each value with
-``_require_keys``, ``_json_value`` and ``_json_numbers``, which name the key.
+a truncated artifact behind.  An artifact gets the mode that ``open``
+gives a new file under the umask in effect at import (0644 under umask
+022).  Output is canonical (sorted JSON keys, LF line endings, repr
+floats) so identical inputs produce identical bytes.  This module owns
+the CSV cell format: callers pass Python scalars, or a ``csv_column`` of
+them, and never encode cells themselves.  Document readers check each
+value with ``_require_keys``, ``_json_value`` and ``_json_numbers``,
+which name the key.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -20,7 +24,25 @@ import tempfile
 from collections.abc import Mapping
 from pathlib import Path
 
-__all__ = ["atomic_write_text", "atomic_write_json", "atomic_write_csv", "load_json"]
+__all__ = [
+    "atomic_write_text",
+    "atomic_write_json",
+    "atomic_write_csv",
+    "atomic_write_csv_columns",
+    "csv_column",
+    "load_json",
+]
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# The mode open() gives a new file (0644 under umask 022), read once at import
+# so that writing does not change the process umask; mkstemp's file is 0600.
+_FILE_MODE = 0o666 & ~_umask()
 
 
 def atomic_write_text(path, text: str) -> Path:
@@ -30,6 +52,7 @@ def atomic_write_text(path, text: str) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -48,20 +71,58 @@ def atomic_write_json(path, obj) -> Path:
     return atomic_write_text(path, canonical_json(obj))
 
 
+class CsvColumn(tuple):
+    """The CSV text of a column of cells, made by ``csv_column``; a caller may write it to several files."""
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _quoted(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several cells."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([value, None])
+    return buffer.getvalue()[: -len(",\n")]
+
+
+def _cell(value) -> str:
+    # csv.writer writes a float as its repr and an int as its str, which equals its repr.
+    return repr(value) if type(value) in (float, int) else _quoted(value)
+
+
+def csv_column(values) -> CsvColumn:
+    """The CSV text of each Python scalar in ``values``."""
+    values = list(values)
+    # A column of numbers skips the per-cell dispatch.
+    return CsvColumn(map(repr if set(map(type, values)) <= {float, int} else _cell, values))
+
+
+def _csv_line(cells: list) -> str:
+    # csv.writer quotes the only cell of a row when it is empty, so that the row is not blank.
+    return ",".join(cells) if cells != [""] else '""'
+
+
 def atomic_write_csv(path, header, rows) -> Path:
     """Write ``header`` and ``rows`` of Python scalars as CSV.
 
     A row is a sequence in header order or a mapping keyed by ``header``.
-    Each cell is ``str(value)``, which for ``float`` and ``int`` equals
-    ``repr(value)`` (``nan`` and ``inf`` included), so floats round-trip
-    exactly.  Pass Python scalars, not numpy ones.
+    The bytes are those of ``csv.writer(lineterminator="\\n")``.  A ``float``
+    or ``int`` cell is ``repr(value)`` (``nan`` and ``inf`` included), so
+    floats round-trip exactly.  Pass Python scalars, not numpy ones.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[key] for key in header] if isinstance(row, Mapping) else row)
-    return atomic_write_text(path, buffer.getvalue())
+    rows = ([row[key] for key in header] if isinstance(row, Mapping) else row for row in rows)
+    lines = [_csv_line(list(map(_cell, row))) for row in (header, *rows)]
+    return atomic_write_text(path, "".join(line + "\n" for line in lines))
+
+
+def atomic_write_csv_columns(path, header, columns) -> Path:
+    """Write equal-length ``columns`` under ``header``: the bytes ``atomic_write_csv`` writes for their rows.
+
+    A column is a sequence of Python scalars or their ``csv_column``.
+    """
+    columns = [column if isinstance(column, CsvColumn) else csv_column(column) for column in columns]
+    lines = [_csv_line(list(map(_cell, header))), *map(",".join, zip(*columns))]
+    if len(columns) == 1:
+        lines[1:] = (_csv_line([line]) for line in lines[1:])
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_json(path) -> dict:

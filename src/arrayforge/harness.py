@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .array_model import ArrayGeometry
 from .crb_eval import _MAP_KINDS, CrbMap, crb_map
-from .fileio import atomic_write_csv, atomic_write_json, canonical_json
+from .fileio import atomic_write_csv, atomic_write_csv_columns, atomic_write_json, canonical_json, csv_column
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
 
@@ -111,7 +111,11 @@ class SweepSpec:
 
 @dataclass
 class ExperimentReport:
-    """Rows plus aggregates of one experiment, with full provenance."""
+    """Rows plus aggregates of one experiment, with full provenance.
+
+    In a CRB report, ``maps`` holds (label, kind, CrbMap) triples and
+    ``rows[i]`` is the summary row of ``maps[i]``.
+    """
 
     rows: list
     aggregates: list
@@ -274,20 +278,31 @@ def _check_labels(labels) -> None:
         taken[_slug(label)] = label
 
 
-def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
-    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
-    columns = (*map_.grid.angles(), map_.values.ravel(), map_.status.ravel())
-    rows = zip(*(column.tolist() for column in columns))
-    csv_path = atomic_write_csv(csv_path, ["azimuth", "elevation", "crb_value", "status"], rows)
+_MAP_HEADER = ("azimuth", "elevation", "crb_value", "status")
+
+
+def _grid_columns(grid: ScfGrid) -> list:
+    """The azimuth and elevation CSV columns of a map on ``grid``."""
+    return [csv_column(angles.tolist()) for angles in grid.angles()]
+
+
+def _write_map(map_: CrbMap, csv_path, metadata, grid_columns, statistics):
+    cells = (map_.values.ravel().tolist(), map_.status.ravel().tolist())
+    csv_path = atomic_write_csv_columns(csv_path, _MAP_HEADER, [*grid_columns, *cells])
     sidecar = {
         "kind": map_.kind,
         "separation": map_.separation,
         "noise_variance": map_.noise_variance,
         "grid": map_.grid.to_dict(),
-        "statistics": map_.log10_statistics(),
+        "statistics": statistics,
         **(metadata or {}),
     }
     return csv_path, atomic_write_json(csv_path.with_suffix(".json"), sidecar)
+
+
+def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
+    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
+    return _write_map(map_, csv_path, metadata, _grid_columns(map_.grid), map_.log10_statistics())
 
 
 def write_sweep_report(report: ExperimentReport, outdir) -> list:
@@ -306,14 +321,21 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
 
 
 def write_crb_report(report: ExperimentReport, outdir) -> list:
-    """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance."""
+    """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance.
+
+    Each map's sidecar statistics are those of its summary row, and each
+    grid's coordinates are formatted once for all of its maps.
+    """
     outdir = Path(outdir)
-    written = []
-    for name, kind, map_ in report.maps or []:
-        csv_path, json_path = write_crb_map(
-            map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name}
-        )
-        written.extend([csv_path, json_path])
+    written, grid_columns = [], {}
+    for (name, kind, map_), row in zip(report.maps or [], report.rows):
+        if map_.grid not in grid_columns:
+            grid_columns[map_.grid] = _grid_columns(map_.grid)
+        statistics = {key: value for key, value in row.items() if key not in ("method", "kind")}
+        written.extend(_write_map(
+            map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name},
+            grid_columns[map_.grid], statistics,
+        ))
     written.append(atomic_write_csv(outdir / "crb_summary.csv", list(report.rows[0]), report.rows))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))
     return written

@@ -102,6 +102,25 @@ class TestValidationErrors:
         assert code == 2
         assert "--out is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_rejected(self, tmp_path, capsys, monkeypatch, command, source):
+        # design used to run in full and then fail to write; sweep wrote into the working directory
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(CombiningMatrix(np.eye(4)[:2]).to_dict()))
+        extra = {"design": ["--channels", "2"], "evaluate-scf": ["--phi", str(phi)]}.get(command, [])
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        if source == "flag":
+            out = ["--out", ""]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, "out": ""}))
+            out = ["--config", str(tmp_path / "config.json")]
+        assert main([command, *SMALL_GEOM, *extra, *out]) == 2
+        assert "--out must be a nonempty path, got ''" in capsys.readouterr().err
+        assert list(run_dir.iterdir()) == []
+
     def test_bad_rate_rejected(self, tmp_path, capsys):
         code = main(["sweep", *SMALL_GEOM, "--rates", "0.5,1.4", "--out", str(tmp_path)])
         assert code == 2

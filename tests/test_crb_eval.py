@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -17,6 +18,7 @@ from arrayforge import (
     random_gaussian_phi,
     write_crb_map,
 )
+from arrayforge import crb_eval
 from oracles import elementwise_steering, numerical_fim_crb, orthogonal_complement_projector, random_unitary
 
 
@@ -172,6 +174,16 @@ class TestProjectorProperties:
         assert np.max(np.abs(fim - fim.T)) <= 1e-10 * max(1.0, np.max(np.abs(fim)))
 
 
+def map_cell_sources(kind, az, el, sep):
+    """The sources of a ``crb_map`` cell of ``kind`` whose first source sits at (az, el)."""
+    sources = [Direction(az, el)]
+    if kind == "azimuth-pair":
+        sources.append(Direction((az + sep) % (2.0 * math.pi), el))
+    elif kind == "elevation-pair":
+        sources.append(Direction(az, el + sep))
+    return tuple(sources)
+
+
 class TestCrbMap:
     def test_single_source_map_interior_is_positive(self, suca33):
         grid = ScfGrid(9, 5, (-math.pi, math.pi), (math.pi / 4, 3 * math.pi / 4))
@@ -269,16 +281,55 @@ class TestCrbMap:
         result = crb_map(suca33, phi, grid, kind, None if kind == "single" else sep, 0.7)
         assert np.all(result.status == "ok")
         for i, j in [(0, 0), (1, 3), (4, 2), (3, 1)]:
-            az, el = grid.azimuths()[i], grid.elevations()[j]
-            sources = [Direction(az, el)]
-            if kind == "azimuth-pair":
-                sources.append(Direction((az + sep) % (2.0 * math.pi), el))
-            elif kind == "elevation-pair":
-                sources.append(Direction(az, el + sep))
-            scenario = CrbScenario(tuple(sources), np.ones(len(sources)), 0.7, phi)
+            sources = map_cell_sources(kind, grid.azimuths()[i], grid.elevations()[j], sep)
+            scenario = CrbScenario(sources, np.ones(len(sources)), 0.7, phi)
             value = result.values[i, j]
             assert abs(value - numerical_fim_crb(suca33, scenario)) <= 1e-3 * value
             assert value == pytest.approx(crb(suca33, scenario).trace_value, rel=1e-12)
+
+    @pytest.mark.parametrize("block_cells", [crb_eval._BLOCK_CELLS, 7])
+    @pytest.mark.parametrize("kind", ["single", "azimuth-pair", "elevation-pair"])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_cells_do_not_depend_on_block_boundaries(self, suca33, monkeypatch, kind, compressed, block_cells):
+        # 23 x 13 = 299 cells leave a partial last block of either size, and
+        # the blocks end inside azimuth rows.  The polar range puts pole cells
+        # (unidentifiable, or rank-deficient for the azimuth pair) and absent
+        # elevation-pair cells in the map.
+        monkeypatch.setattr(crb_eval, "_BLOCK_CELLS", block_cells)
+        grid = ScfGrid(23, 13, (-math.pi, math.pi), (0.0, math.pi))
+        assert grid.point_count > block_cells and grid.point_count % block_cells
+        sep = 2.0 * math.pi / 10.0
+        phi = random_gaussian_phi(13, 33, 4) if compressed else None
+        result = crb_map(suca33, phi, grid, kind, None if kind == "single" else sep)
+        flagged = {"single": {"unidentifiable"}, "azimuth-pair": {"rank-deficient"},
+                   "elevation-pair": {"unidentifiable", "absent"}}[kind]
+        assert set(result.status.ravel()) == {"ok", *flagged}
+        for i, az in enumerate(grid.azimuths()):
+            for j, el in enumerate(grid.elevations()):
+                if kind == "elevation-pair" and not 0.0 < el + sep < math.pi:
+                    assert result.status[i, j] == "absent" and math.isnan(result.values[i, j])
+                    continue
+                sources = map_cell_sources(kind, az, el, sep)
+                scenario = CrbScenario(sources, np.ones(len(sources)), 1.0, phi)
+                try:
+                    scalar = crb(suca33, scenario)
+                except RankDeficientSteeringError:
+                    status = "rank-deficient"
+                except UnidentifiableScenarioError:
+                    status = "unidentifiable"
+                else:
+                    status = "ok"
+                assert result.status[i, j] == status
+                if status != "ok":
+                    assert math.isnan(result.values[i, j])
+                    continue
+                # Both calls evaluate the same formula; only the width of the
+                # compression product differs, so BLAS may sum in another
+                # order.  That perturbs F by a relative 1e-12 at most (a few
+                # thousand ulp), and tr(F^-1) amplifies a relative
+                # perturbation of F by at most the condition of F.
+                tolerance = 1e-12 * max(1.0, scalar.fim_condition)
+                assert abs(result.values[i, j] - scalar.trace_value) <= tolerance * scalar.trace_value
 
     def test_compressed_map_runs(self, suca33):
         phi = random_gaussian_phi(13, 33, 9)
@@ -298,6 +349,23 @@ class TestWriteCrbMap:
             i, j = divmod(k, grid.elevation_count)
             assert (az, el) == (repr(float(grid.azimuths()[i])), repr(float(grid.elevations()[j])))
             assert (value, status) == (repr(float(result.values[i, j])), result.status[i, j])
+
+    def test_csv_bytes_are_those_of_csv_writer(self, tmp_path, suca33):
+        # ok, absent and unidentifiable cells come from the grid; rank-deficient
+        # ones are set by hand, as this map kind has none.
+        grid = ScfGrid(5, 4, (-1.0, 2.0), (0.0, math.pi))
+        result = crb_map(suca33, None, grid, "elevation-pair", 2.0 * math.pi / 10.0)
+        result.status[1, 1:3] = "rank-deficient"
+        result.values[1, 1:3] = math.nan
+        assert set(result.status.ravel()) == {"ok", "absent", "unidentifiable", "rank-deficient"}
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["azimuth", "elevation", "crb_value", "status"])
+        azimuth, elevation = grid.angles()
+        writer.writerows(zip(azimuth.tolist(), elevation.tolist(), result.values.ravel().tolist(), result.status.ravel()))
+        assert "nan" in buffer.getvalue()
+        csv_path, _ = write_crb_map(result, tmp_path / "map.csv")
+        assert csv_path.read_bytes() == buffer.getvalue().encode("utf-8")
 
     def test_csv_and_sidecar(self, tmp_path, suca33):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))

@@ -1,10 +1,16 @@
 import csv
+import io
 import math
+import os
+import stat
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from arrayforge.fileio import _json_value, atomic_write_csv
+from arrayforge.fileio import _json_value, atomic_write_csv, atomic_write_csv_columns, atomic_write_text, csv_column
 
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]
 INTS = [0, -7, 2**70]
@@ -35,6 +41,63 @@ def test_mapping_rows_write_the_bytes_of_sequence_rows(tmp_path):
     mappings = [dict(reversed(list(zip(header, row)))) for row in (values, values[::-1])]
     as_mapping = atomic_write_csv(tmp_path / "map.csv", header, mappings)
     assert as_mapping.read_bytes() == as_sequence.read_bytes()
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+# Cells that csv.writer quotes, leaves bare or writes empty.
+ODD_CELLS = ["", " padded ", "two\nlines", "carriage\rreturn", 'quote"inside', "a,b", None, True, False]
+
+
+def test_rows_and_columns_write_the_bytes_of_csv_writer(tmp_path):
+    values = FLOATS + INTS + TEXTS + ODD_CELLS
+    header = [f"c{i}" for i in range(len(values))]
+    rows = [values, values[::-1]]
+    expected = csv_writer_bytes(header, rows)
+    assert atomic_write_csv(tmp_path / "rows.csv", header, rows).read_bytes() == expected
+    columns = [list(column) for column in zip(*rows)]
+    columns[0] = csv_column(columns[0])
+    assert atomic_write_csv_columns(tmp_path / "columns.csv", header, columns).read_bytes() == expected
+    # a column of numbers only, and one without numbers
+    numbers, others = FLOATS + INTS, (TEXTS + ODD_CELLS)[: len(FLOATS + INTS)]
+    expected = csv_writer_bytes(["n", "o"], zip(numbers, others))
+    assert atomic_write_csv_columns(tmp_path / "split.csv", ["n", "o"], [numbers, others]).read_bytes() == expected
+
+
+def test_a_lone_empty_cell_is_quoted_as_csv_writer_does(tmp_path):
+    rows = [[""], ["x"], [None]]
+    expected = csv_writer_bytes([""], rows)
+    assert expected.startswith(b'""\n""\nx\n')
+    assert atomic_write_csv(tmp_path / "rows.csv", [""], rows).read_bytes() == expected
+    columns = [[row[0] for row in rows]]
+    assert atomic_write_csv_columns(tmp_path / "columns.csv", [""], columns).read_bytes() == expected
+
+
+def test_artifacts_get_the_mode_open_gives_a_new_file(tmp_path):
+    reference = tmp_path / "reference.txt"
+    reference.write_text("x")
+    artifact = atomic_write_text(tmp_path / "artifact.txt", "x")
+    assert stat.S_IMODE(artifact.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_artifacts_are_0644_under_umask_022(tmp_path):
+    # The temporary file mkstemp makes is 0600; a child process sets its umask before the import.
+    script = (
+        "import os, sys; os.umask(0o022)\n"
+        "from arrayforge.fileio import atomic_write_text\n"
+        "print(oct(os.stat(atomic_write_text(sys.argv[1], 'x')).st_mode & 0o777))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.txt")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0o644"
 
 
 @pytest.mark.parametrize(

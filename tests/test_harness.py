@@ -278,6 +278,18 @@ class TestCrbExperiment:
         assert header.split(",")[-3:] == ["cells_absent", "cells_rank_deficient", "cells_unidentifiable"]
         assert len(rows) == 3
 
+    def test_summary_quotes_a_label_with_a_comma(self, small_geometry, tmp_path):
+        grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
+        phi = CombiningMatrix(random_unitary(6, np.random.default_rng(1))[:3])
+        report = run_crb_experiment(small_geometry, {'a,"b"': phi}, grid)
+        write_crb_report(report, tmp_path)
+        lines = (tmp_path / "crb_summary.csv").read_text().splitlines()
+        assert sum(line.startswith('"a,""b""",') for line in lines) == 3
+        sidecar = json.loads((tmp_path / "crb_a--b-_single.json").read_text())
+        assert sidecar["method"] == 'a,"b"'
+        single = next(map_ for name, kind, map_ in report.maps if name == 'a,"b"' and kind == "single")
+        assert sidecar["statistics"] == json.loads(json.dumps(single.log10_statistics()))
+
     def test_default_separation_is_two_pi_tenth(self, small_geometry):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
         report = run_crb_experiment(small_geometry, {}, grid)
