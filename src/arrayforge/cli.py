@@ -18,7 +18,8 @@ control was found and the run went ahead unpinned).
 
 Exit status: 0 on success, 2 for validation failures (unknown flags,
 malformed or out-of-range values, missing or malformed input files, the
-message naming the file), 1 for runtime failures.
+message naming the file, an ``--out`` that names an existing path of the
+wrong kind or lies under a non-directory), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -162,6 +163,7 @@ COMMANDS = {
 _ALL = tuple(COMMANDS)
 _GRID = ("evaluate-scf", "evaluate-crb", "sweep")
 _OPTIMIZER = ("design", "sweep")
+_DIRECTORY_OUT = ("evaluate-crb", "sweep")
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _SGD = OptimizerConfig()
 
@@ -349,6 +351,18 @@ def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
     return geometry
 
 
+def _out_path(command: str, text: str) -> Path:
+    """``--out`` as a path, unless it cannot become the file or directory ``command`` writes."""
+    out = Path(text)
+    kinds, directory = ("file", "directory"), command in _DIRECTORY_OUT
+    if os.path.exists(out) and os.path.isdir(out) != directory:
+        raise CliError(f"--out must name a {kinds[directory]} for {command}, but {out} is a {kinds[not directory]}")
+    above = next(parent for parent in out.absolute().parents if os.path.exists(parent))
+    if not os.path.isdir(above):
+        raise CliError(f"--out {out} lies under {above}, which is not a directory")
+    return out
+
+
 def _build(command: str, v: dict, given: set) -> CliConfig:
     """Build the library objects from the coerced values ``v``.
 
@@ -359,7 +373,7 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
     cfg = CliConfig(
         command=command,
         geometry=geometry,
-        out=Path(v["out"]),
+        out=_out_path(command, v["out"]),
         jobs=v.pop("jobs"),
         options=v,
     )
@@ -466,7 +480,7 @@ def _run_evaluate_scf(config: CliConfig) -> int:
     phi, v = config.phi, config.options
     error = grid_scf_error(config.geometry, phi, config.grid)
     rho = phi.rows / config.geometry.element_count
-    atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho, v["method"], v["seed"], error]])
+    atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho], [v["method"]], [v["seed"]], [error]])
     _emit(config.out, f"rho={rho:.6g}, method={v['method']}, scf_error={error:.6g}")
     sidecar = config.out.parent / (config.out.stem + "_provenance.json")
     doc = _provenance(config)

@@ -5,11 +5,12 @@ the target, and rename it into place, so an interrupted run never leaves
 a truncated artifact behind.  An artifact gets the mode that ``open``
 gives a new file under the umask in effect at import (0644 under umask
 022).  Output is canonical (sorted JSON keys, LF line endings, repr
-floats) so identical inputs produce identical bytes.  This module owns
-the CSV cell format: callers pass Python scalars, or a ``csv_column`` of
-them, and never encode cells themselves.  Document readers check each
-value with ``_require_keys``, ``_json_value`` and ``_json_numbers``,
-which name the key.
+floats) so identical inputs produce identical bytes.  Every CSV artifact
+goes through the one column writer ``atomic_write_csv``, so this module
+owns the CSV cell format: callers pass columns of Python scalars, or a
+``csv_column`` of them, and never encode cells themselves.  Document
+readers check each value with ``_require_keys``, ``_json_value`` and
+``_json_numbers``, which name the key.
 """
 
 from __future__ import annotations
@@ -21,14 +22,12 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Mapping
 from pathlib import Path
 
 __all__ = [
     "atomic_write_text",
     "atomic_write_json",
     "atomic_write_csv",
-    "atomic_write_csv_columns",
     "csv_column",
     "load_json",
 ]
@@ -100,25 +99,18 @@ def _csv_line(cells: list) -> str:
     return ",".join(cells) if cells != [""] else '""'
 
 
-def atomic_write_csv(path, header, rows) -> Path:
-    """Write ``header`` and ``rows`` of Python scalars as CSV.
+def atomic_write_csv(path, header, columns) -> Path:
+    """Write equal-length ``columns`` of Python scalars, or their ``csv_column``, under ``header`` as CSV.
 
-    A row is a sequence in header order or a mapping keyed by ``header``.
-    The bytes are those of ``csv.writer(lineterminator="\\n")``.  A ``float``
-    or ``int`` cell is ``repr(value)`` (``nan`` and ``inf`` included), so
-    floats round-trip exactly.  Pass Python scalars, not numpy ones.
-    """
-    rows = ([row[key] for key in header] if isinstance(row, Mapping) else row for row in rows)
-    lines = [_csv_line(list(map(_cell, row))) for row in (header, *rows)]
-    return atomic_write_text(path, "".join(line + "\n" for line in lines))
-
-
-def atomic_write_csv_columns(path, header, columns) -> Path:
-    """Write equal-length ``columns`` under ``header``: the bytes ``atomic_write_csv`` writes for their rows.
-
-    A column is a sequence of Python scalars or their ``csv_column``.
+    The bytes are those of ``csv.writer(lineterminator="\\n")`` for the
+    rows.  A ``float`` or ``int`` cell is ``repr(value)`` (``nan`` and
+    ``inf`` included), so floats round-trip exactly.  Pass Python scalars,
+    not numpy ones.  Raises ``ValueError`` unless there is one column per
+    header cell and all columns have the same length.
     """
     columns = [column if isinstance(column, CsvColumn) else csv_column(column) for column in columns]
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path}: expected {len(header)} equal-length columns, got lengths {list(map(len, columns))}")
     lines = [_csv_line(list(map(_cell, header))), *map(",".join, zip(*columns))]
     if len(columns) == 1:
         lines[1:] = (_csv_line([line]) for line in lines[1:])

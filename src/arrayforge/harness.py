@@ -12,6 +12,7 @@ rule lives here too.  It reads no input file: designs arrive as matrices.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .array_model import ArrayGeometry
 from .crb_eval import _MAP_KINDS, CrbMap, crb_map
-from .fileio import atomic_write_csv, atomic_write_csv_columns, atomic_write_json, canonical_json, csv_column
+from .fileio import atomic_write_csv, atomic_write_json, canonical_json, csv_column
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
 
@@ -281,28 +282,30 @@ def _check_labels(labels) -> None:
 _MAP_HEADER = ("azimuth", "elevation", "crb_value", "status")
 
 
-def _grid_columns(grid: ScfGrid) -> list:
-    """The azimuth and elevation CSV columns of a map on ``grid``."""
-    return [csv_column(angles.tolist()) for angles in grid.angles()]
+@functools.lru_cache(maxsize=1)
+def _grid_columns(grid: ScfGrid) -> tuple:
+    """The azimuth and elevation CSV columns of a map on ``grid``, kept so that a report formats them once."""
+    return tuple(csv_column(angles.tolist()) for angles in grid.angles())
 
 
-def _write_map(map_: CrbMap, csv_path, metadata, grid_columns, statistics):
+def _columns(header, rows) -> list:
+    """The columns of dict ``rows`` in ``header`` order."""
+    return [[row[key] for row in rows] for key in header]
+
+
+def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
+    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata and the map's statistics."""
     cells = (map_.values.ravel().tolist(), map_.status.ravel().tolist())
-    csv_path = atomic_write_csv_columns(csv_path, _MAP_HEADER, [*grid_columns, *cells])
+    csv_path = atomic_write_csv(csv_path, _MAP_HEADER, [*_grid_columns(map_.grid), *cells])
     sidecar = {
         "kind": map_.kind,
         "separation": map_.separation,
         "noise_variance": map_.noise_variance,
         "grid": map_.grid.to_dict(),
-        "statistics": statistics,
+        "statistics": map_.log10_statistics(),
         **(metadata or {}),
     }
     return csv_path, atomic_write_json(csv_path.with_suffix(".json"), sidecar)
-
-
-def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
-    """Emit the map as CSV cells plus a JSON sidecar with scenario metadata."""
-    return _write_map(map_, csv_path, metadata, _grid_columns(map_.grid), map_.log10_statistics())
 
 
 def write_sweep_report(report: ExperimentReport, outdir) -> list:
@@ -312,10 +315,11 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
     header = ["rho", "method", "seed", "scf_error", "channels", "status"]
     for row in report.rows:
         name = f"scf_sweep_{_slug(row['method'])}_{_slug(row['rho'])}_{row['seed']}.csv"
-        written.append(atomic_write_csv(outdir / name, header, [row]))
-    written.append(atomic_write_csv(outdir / "scf_sweep_results.csv", header, report.rows))
+        written.append(atomic_write_csv(outdir / name, header, _columns(header, [row])))
+    written.append(atomic_write_csv(outdir / "scf_sweep_results.csv", header, _columns(header, report.rows)))
     summary_header = ["method", "rho", "channels", "count", "median_scf_error", "q25_scf_error", "q75_scf_error"]
-    written.append(atomic_write_csv(outdir / "scf_sweep_summary.csv", summary_header, report.aggregates))
+    summary = _columns(summary_header, report.aggregates)
+    written.append(atomic_write_csv(outdir / "scf_sweep_summary.csv", summary_header, summary))
     written.append(atomic_write_json(outdir / "scf_sweep_provenance.json", report.provenance))
     return written
 
@@ -323,19 +327,15 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
 def write_crb_report(report: ExperimentReport, outdir) -> list:
     """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance.
 
-    Each map's sidecar statistics are those of its summary row, and each
-    grid's coordinates are formatted once for all of its maps.
+    Every map goes through ``write_crb_map``, so each sidecar holds the
+    map's own ``log10_statistics``; for a report of ``run_crb_experiment``
+    these equal the map's summary row.
     """
     outdir = Path(outdir)
-    written, grid_columns = [], {}
-    for (name, kind, map_), row in zip(report.maps or [], report.rows):
-        if map_.grid not in grid_columns:
-            grid_columns[map_.grid] = _grid_columns(map_.grid)
-        statistics = {key: value for key, value in row.items() if key not in ("method", "kind")}
-        written.extend(_write_map(
-            map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name},
-            grid_columns[map_.grid], statistics,
-        ))
-    written.append(atomic_write_csv(outdir / "crb_summary.csv", list(report.rows[0]), report.rows))
+    written = []
+    for name, kind, map_ in report.maps or []:
+        written.extend(write_crb_map(map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name}))
+    header = list(report.rows[0])
+    written.append(atomic_write_csv(outdir / "crb_summary.csv", header, _columns(header, report.rows)))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))
     return written

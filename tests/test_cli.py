@@ -36,6 +36,13 @@ def run_design(tmp_path, name="trace.json", extra=()):
     return out
 
 
+def required_options(command, tmp_path) -> list:
+    """The options besides --out that ``command`` needs on SMALL_GEOM; --phi names a 2 x 4 matrix in ``tmp_path``."""
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(CombiningMatrix(np.eye(4)[:2]).to_dict()))
+    return {"design": ["--channels", "2"], "evaluate-scf": ["--phi", str(phi)]}.get(command, [])
+
+
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
@@ -106,9 +113,7 @@ class TestValidationErrors:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_empty_out_rejected(self, tmp_path, capsys, monkeypatch, command, source):
         # design used to run in full and then fail to write; sweep wrote into the working directory
-        phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps(CombiningMatrix(np.eye(4)[:2]).to_dict()))
-        extra = {"design": ["--channels", "2"], "evaluate-scf": ["--phi", str(phi)]}.get(command, [])
+        extra = required_options(command, tmp_path)
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         monkeypatch.chdir(run_dir)
@@ -120,6 +125,32 @@ class TestValidationErrors:
         assert main([command, *SMALL_GEOM, *extra, *out]) == 2
         assert "--out must be a nonempty path, got ''" in capsys.readouterr().err
         assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("case", ["wrong-kind", "under-a-file"])
+    def test_out_of_the_wrong_kind_rejected(self, tmp_path, capsys, command, case):
+        # these used to run the whole command and then exit 1 with EISDIR, EEXIST or ENOTDIR
+        extra = required_options(command, tmp_path)
+        a_file, a_dir = tmp_path / "afile", tmp_path / "adir"
+        a_file.write_text("x")
+        a_dir.mkdir()
+        writes_a_file = command in ("design", "evaluate-scf")
+        if case == "wrong-kind":
+            out, message = (a_dir, "is a directory") if writes_a_file else (a_file, "is a file")
+        else:
+            out = a_file / ("t.json" if writes_a_file else "sub")
+            message = f"lies under {a_file}, which is not a directory"
+        assert main([command, *SMALL_GEOM, *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and message in err
+        assert a_file.read_text() == "x" and list(a_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_out_of_the_right_kind_accepted(self, tmp_path, command):
+        extra = required_options(command, tmp_path)
+        existing = tmp_path / "phi.json" if command in ("design", "evaluate-scf") else tmp_path
+        for out in (existing, tmp_path / "new" / "deeper" / "out"):
+            assert parse_and_validate([command, *SMALL_GEOM, *extra, "--out", str(out)]).out == out
 
     def test_bad_rate_rejected(self, tmp_path, capsys):
         code = main(["sweep", *SMALL_GEOM, "--rates", "0.5,1.4", "--out", str(tmp_path)])

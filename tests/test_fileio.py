@@ -10,17 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from arrayforge.fileio import _json_value, atomic_write_csv, atomic_write_csv_columns, atomic_write_text, csv_column
+from arrayforge.fileio import _json_value, atomic_write_csv, atomic_write_text, csv_column
 
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]
 INTS = [0, -7, 2**70]
 TEXTS = ["a,b", 'say "hi"', "plain"]
 
 
+def csv_writer_bytes(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
 def test_csv_cells_are_repr_and_round_trip(tmp_path):
     values = FLOATS + INTS + TEXTS
     header = [f"c{i}" for i in range(len(values))]
-    path = atomic_write_csv(tmp_path / "cells.csv", header, [values])
+    path = atomic_write_csv(tmp_path / "cells.csv", header, [[value] for value in values])
     with open(path, newline="", encoding="utf-8") as handle:
         read_header, cells = list(csv.reader(handle))
     assert read_header == header
@@ -34,49 +42,50 @@ def test_csv_cells_are_repr_and_round_trip(tmp_path):
             assert cell == value
 
 
-def test_mapping_rows_write_the_bytes_of_sequence_rows(tmp_path):
-    values = FLOATS + INTS + TEXTS
-    header = [f"c{i}" for i in range(len(values))]
-    as_sequence = atomic_write_csv(tmp_path / "seq.csv", header, [values, values[::-1]])
-    mappings = [dict(reversed(list(zip(header, row)))) for row in (values, values[::-1])]
-    as_mapping = atomic_write_csv(tmp_path / "map.csv", header, mappings)
-    assert as_mapping.read_bytes() == as_sequence.read_bytes()
-
-
-def csv_writer_bytes(header, rows) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
-
-
 # Cells that csv.writer quotes, leaves bare or writes empty.
 ODD_CELLS = ["", " padded ", "two\nlines", "carriage\rreturn", 'quote"inside', "a,b", None, True, False]
 
 
-def test_rows_and_columns_write_the_bytes_of_csv_writer(tmp_path):
+def test_columns_write_the_bytes_of_csv_writer(tmp_path):
     values = FLOATS + INTS + TEXTS + ODD_CELLS
     header = [f"c{i}" for i in range(len(values))]
     rows = [values, values[::-1]]
     expected = csv_writer_bytes(header, rows)
-    assert atomic_write_csv(tmp_path / "rows.csv", header, rows).read_bytes() == expected
     columns = [list(column) for column in zip(*rows)]
+    assert atomic_write_csv(tmp_path / "columns.csv", header, columns).read_bytes() == expected
+    # a preformatted column gives the same bytes
     columns[0] = csv_column(columns[0])
-    assert atomic_write_csv_columns(tmp_path / "columns.csv", header, columns).read_bytes() == expected
+    assert atomic_write_csv(tmp_path / "preformatted.csv", header, columns).read_bytes() == expected
     # a column of numbers only, and one without numbers
     numbers, others = FLOATS + INTS, (TEXTS + ODD_CELLS)[: len(FLOATS + INTS)]
     expected = csv_writer_bytes(["n", "o"], zip(numbers, others))
-    assert atomic_write_csv_columns(tmp_path / "split.csv", ["n", "o"], [numbers, others]).read_bytes() == expected
+    assert atomic_write_csv(tmp_path / "split.csv", ["n", "o"], [numbers, others]).read_bytes() == expected
 
 
 def test_a_lone_empty_cell_is_quoted_as_csv_writer_does(tmp_path):
     rows = [[""], ["x"], [None]]
     expected = csv_writer_bytes([""], rows)
     assert expected.startswith(b'""\n""\nx\n')
-    assert atomic_write_csv(tmp_path / "rows.csv", [""], rows).read_bytes() == expected
     columns = [[row[0] for row in rows]]
-    assert atomic_write_csv_columns(tmp_path / "columns.csv", [""], columns).read_bytes() == expected
+    assert atomic_write_csv(tmp_path / "columns.csv", [""], columns).read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["a", "b"], [[1.0, 2.0]]),
+        (["a", "b"], [[1.0], ["x"], [3]]),
+        (["a", "b"], [[1.0, 2.0], ["x"]]),
+        (["rho", "method", "seed", "scf_error"], [[0.5, "x", 3, 1.0]]),
+    ],
+    ids=["too-few", "too-many", "unequal", "a-row-as-one-column"],
+)
+def test_columns_must_match_the_header_and_each_other(tmp_path, header, columns):
+    # zip would drop the extra cells of a longer column, and a row passed as
+    # the only column would write one column of its cells.
+    with pytest.raises(ValueError, match="equal-length columns"):
+        atomic_write_csv(tmp_path / "bad.csv", header, columns)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_artifacts_get_the_mode_open_gives_a_new_file(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -8,6 +10,7 @@ import pytest
 
 from arrayforge import (
     CombiningMatrix,
+    ExperimentReport,
     OptimizerConfig,
     ScfGrid,
     SweepSpec,
@@ -18,6 +21,7 @@ from arrayforge import (
     random_gaussian_phi,
     run_crb_experiment,
     run_scf_sweep,
+    write_crb_map,
     write_crb_report,
     write_sweep_report,
 )
@@ -40,6 +44,19 @@ def small_spec(**overrides):
     )
     settings.update(overrides)
     return SweepSpec(**settings)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and the values of dict ``rows`` under it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[key] for key in header] for row in rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+SWEEP_HEADER = ["rho", "method", "seed", "scf_error", "channels", "status"]
+SUMMARY_HEADER = ["method", "rho", "channels", "count", "median_scf_error", "q25_scf_error", "q75_scf_error"]
 
 
 class TestChannelsForRate:
@@ -172,6 +189,19 @@ class TestScfSweep:
         assert "scf_sweep_summary.csv" in names
         assert "scf_sweep_provenance.json" in names
 
+    @pytest.mark.parametrize("methods", [("external", "gaussian"), ("external",)], ids=["error-row", "all-fail"])
+    def test_csvs_are_csv_writer_bytes_of_their_rows(self, small_geometry, tmp_path, methods):
+        # "external" has no matrices, so its rows are error rows; with no ok row the summary is its header.
+        report = run_scf_sweep(small_geometry, small_spec(methods=methods))
+        assert any(row["status"].startswith("error: ") for row in report.rows)
+        assert bool(report.aggregates) == ("gaussian" in methods)
+        written = write_sweep_report(report, tmp_path)
+        for path, row in zip(written, report.rows):
+            assert path.read_bytes() == csv_writer_bytes(SWEEP_HEADER, [row])
+        assert (tmp_path / "scf_sweep_results.csv").read_bytes() == csv_writer_bytes(SWEEP_HEADER, report.rows)
+        summary = (tmp_path / "scf_sweep_summary.csv").read_bytes()
+        assert summary == csv_writer_bytes(SUMMARY_HEADER, report.aggregates)
+
     def test_provenance_echoes_spec(self, small_geometry):
         spec = small_spec()
         report = run_scf_sweep(small_geometry, spec)
@@ -285,10 +315,39 @@ class TestCrbExperiment:
         write_crb_report(report, tmp_path)
         lines = (tmp_path / "crb_summary.csv").read_text().splitlines()
         assert sum(line.startswith('"a,""b""",') for line in lines) == 3
+        assert (tmp_path / "crb_summary.csv").read_bytes() == csv_writer_bytes(list(report.rows[0]), report.rows)
         sidecar = json.loads((tmp_path / "crb_a--b-_single.json").read_text())
         assert sidecar["method"] == 'a,"b"'
         single = next(map_ for name, kind, map_ in report.maps if name == 'a,"b"' and kind == "single")
         assert sidecar["statistics"] == json.loads(json.dumps(single.log10_statistics()))
+
+    def test_map_files_are_those_of_write_crb_map(self, small_geometry, tmp_path):
+        grid = ScfGrid(4, 3, (-1.0, 1.0), (0.0, math.pi))
+        phi = CombiningMatrix(random_unitary(6, np.random.default_rng(2))[:3])
+        report = run_crb_experiment(small_geometry, {"a,b": phi}, grid)
+        written = write_crb_report(report, tmp_path / "report")
+        for i, ((name, kind, map_), row) in enumerate(zip(report.maps, report.rows)):
+            in_report = written[2 * i : 2 * i + 2]
+            alone = write_crb_map(map_, tmp_path / "alone" / in_report[0].name, {"method": name})
+            assert [path.read_bytes() for path in alone] == [path.read_bytes() for path in in_report]
+            # the sidecar statistics, the map's own, equal its summary row
+            statistics = json.loads(in_report[1].read_text())["statistics"]
+            assert statistics == json.loads(json.dumps({k: v for k, v in row.items() if k not in ("method", "kind")}))
+
+    def test_maps_on_alternating_grids_keep_their_coordinates(self, small_geometry, tmp_path):
+        grids = [ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0)), ScfGrid(4, 2, (-2.0, 2.0), (0.5, 2.5))]
+        maps, rows = [], []
+        for label, grid in zip("abcd", grids * 2):
+            map_ = run_crb_experiment(small_geometry, {}, grid).maps[0][2]
+            maps.append((label, map_.kind, map_))
+            rows.append({"method": label, "kind": map_.kind, **map_.log10_statistics()})
+        write_crb_report(ExperimentReport(rows, [], {}, maps=maps), tmp_path)
+        for label, kind, map_ in maps:
+            with open(tmp_path / f"crb_{label}_{kind}.csv", newline="") as handle:
+                cells = list(csv.reader(handle))[1:]
+            azimuth, elevation = map_.grid.angles()
+            expected = [[repr(a), repr(e)] for a, e in zip(azimuth.tolist(), elevation.tolist())]
+            assert [row[:2] for row in cells] == expected
 
     def test_default_separation_is_two_pi_tenth(self, small_geometry):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))

@@ -56,6 +56,15 @@ def test_only_fileio_reads_and_writes_files():
     assert offenders == {}
 
 
+def test_only_fileio_imports_csv():
+    # fileio's one CSV writer owns the cell format; every other module hands it Python scalars.
+    importers = [
+        path.stem for path in sorted(SOURCES.glob("*.py"))
+        if "csv" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["fileio"]
+
+
 def test_oracles_import_no_function_from_the_package():
     # Oracles recompute what the library computes, so they may borrow its
     # classes, exceptions and constants but none of its routines.
