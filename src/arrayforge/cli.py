@@ -36,7 +36,7 @@ from typing import Callable
 
 from ._version import __version__
 from .array_model import ArrayGeometry, load_geometry, make_suca
-from .fileio import _json_value, atomic_write_csv, atomic_write_json, load_json
+from .fileio import _JSON_KINDS, _json_value, atomic_write_csv, atomic_write_json, load_json
 from .harness import (
     DEFAULT_SEPARATION,
     SWEEP_METHODS,
@@ -64,16 +64,26 @@ class CliError(Exception):
     """A validation failure (bad value, missing file, bad config file): exit status 2."""
 
 
-def _integer(value) -> int:
-    return _json_value(int(value) if isinstance(value, str) else value, "", int)
+@dataclass(frozen=True)
+class OptionType:
+    """A strict coercer for flag strings and config JSON values alike."""
+
+    description: str
+    parse: Callable
 
 
-def _number(value) -> float:
-    return _json_value(float(value) if isinstance(value, str) else value, "", float)
+def _scalar(kind: type) -> OptionType:
+    """The coercer of JSON ``kind`` (int, float or str); a flag string is read as ``kind`` first."""
+
+    def parse(value):
+        return _json_value(kind(value) if isinstance(value, str) else value, "", kind)
+
+    return OptionType(_JSON_KINDS[kind][0], parse)
 
 
-def _text(value) -> str:
-    return _json_value(value, "", str)
+INTEGER = _scalar(int)
+NUMBER = _scalar(float)
+TEXT = _scalar(str)
 
 
 def _listed(item: Callable) -> Callable:
@@ -87,26 +97,15 @@ def _listed(item: Callable) -> Callable:
 
 def _pairs(value) -> dict:
     if isinstance(value, list):
-        pairs = [_text(item).split("=", 1) for item in value]
+        pairs = [TEXT.parse(item).split("=", 1) for item in value]
         value = dict(pairs)
         if len(value) != len(pairs):
             raise ValueError
-    return {key: _text(path) for key, path in _json_value(value, "", dict).items()}
+    return {key: TEXT.parse(path) for key, path in _json_value(value, "", dict).items()}
 
 
-@dataclass(frozen=True)
-class OptionType:
-    """A strict coercer for flag strings and config JSON values alike."""
-
-    description: str
-    parse: Callable
-
-
-INTEGER = OptionType("an integer", _integer)
-NUMBER = OptionType("a finite number", _number)
-TEXT = OptionType("a string", _text)
-NUMBERS = OptionType("comma-separated numbers or a JSON list of numbers", _listed(_number))
-NAMES = OptionType("comma-separated names or a JSON list of strings", _listed(_text))
+NUMBERS = OptionType("comma-separated numbers or a JSON list of numbers", _listed(NUMBER.parse))
+NAMES = OptionType("comma-separated names or a JSON list of strings", _listed(TEXT.parse))
 PAIRS = OptionType("KEY=PATH flags with distinct keys or a JSON object of paths", _pairs)
 
 _REQUIRED = object()
@@ -301,7 +300,11 @@ def _load_config_file(path_text: str) -> dict:
     data = _read_input("config", path_text, load_json)
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    if data.get("schema_version") != CONFIG_SCHEMA_VERSION:
+    try:  # true and 1.0 equal 1 in Python, but neither is a JSON integer
+        version = _json_value(data.get("schema_version"), "schema_version", int)
+    except ValueError:
+        version = None
+    if version != CONFIG_SCHEMA_VERSION:
         raise CliError(
             f"config file {path} must declare \"schema_version\": {CONFIG_SCHEMA_VERSION}"
         )
@@ -351,12 +354,19 @@ def _resolve_geometry(values: dict, given: set) -> ArrayGeometry:
     return geometry
 
 
+def _scf_sidecar(out: Path) -> Path:
+    """The provenance file that evaluate-scf writes next to its CSV ``out``."""
+    return out.parent / (out.stem + "_provenance.json")
+
+
 def _out_path(command: str, text: str) -> Path:
-    """``--out`` as a path, unless it cannot become the file or directory ``command`` writes."""
+    """``--out`` as a path, unless it (or evaluate-scf's sidecar) cannot become the file or directory written."""
     out = Path(text)
     kinds, directory = ("file", "directory"), command in _DIRECTORY_OUT
-    if os.path.exists(out) and os.path.isdir(out) != directory:
-        raise CliError(f"--out must name a {kinds[directory]} for {command}, but {out} is a {kinds[not directory]}")
+    for path in (out, _scf_sidecar(out)) if command == "evaluate-scf" else (out,):
+        if os.path.exists(path) and os.path.isdir(path) != directory:
+            kind, other = kinds[directory], kinds[not directory]
+            raise CliError(f"--out must name a {kind} for {command}, but {path} is a {other}")
     above = next(parent for parent in out.absolute().parents if os.path.exists(parent))
     if not os.path.isdir(above):
         raise CliError(f"--out {out} lies under {above}, which is not a directory")
@@ -482,7 +492,7 @@ def _run_evaluate_scf(config: CliConfig) -> int:
     rho = phi.rows / config.geometry.element_count
     atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho], [v["method"]], [v["seed"]], [error]])
     _emit(config.out, f"rho={rho:.6g}, method={v['method']}, scf_error={error:.6g}")
-    sidecar = config.out.parent / (config.out.stem + "_provenance.json")
+    sidecar = _scf_sidecar(config.out)
     doc = _provenance(config)
     doc["grid"] = config.grid.to_dict()
     doc["phi_file"] = str(Path(v["phi"]))

@@ -189,12 +189,9 @@ class CrbMap:
     def ok_mask(self) -> np.ndarray:
         return self.status == "ok"
 
-    def ok_values(self) -> np.ndarray:
-        return self.values[self.ok_mask()]
-
     def log10_statistics(self) -> dict:
         """Median and sample variance of log10(C) over the valid cells, and the cell count per status."""
-        logs = np.log10(self.ok_values())
+        logs = np.log10(self.values[self.ok_mask()])
         # The key order is the column order of crb_summary.csv.
         return {
             "cells_total": int(self.values.size),

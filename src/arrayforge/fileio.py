@@ -7,10 +7,12 @@ gives a new file under the umask in effect at import (0644 under umask
 022).  Output is canonical (sorted JSON keys, LF line endings, repr
 floats) so identical inputs produce identical bytes.  Every CSV artifact
 goes through the one column writer ``atomic_write_csv``, so this module
-owns the CSV cell format: callers pass columns of Python scalars, or a
-``csv_column`` of them, and never encode cells themselves.  Document
-readers check each value with ``_require_keys``, ``_json_value`` and
-``_json_numbers``, which name the key.
+owns the CSV cell format: callers pass at least two columns of Python
+scalars, or a ``csv_column`` of them, and never encode cells themselves.
+A row of two or more cells is never blank, so no cell needs the quoting
+``csv.writer`` gives a lone empty one.  Document readers check each value
+with ``_require_keys``, ``_json_value`` and ``_json_numbers``, which name
+the key.
 """
 
 from __future__ import annotations
@@ -94,26 +96,20 @@ def csv_column(values) -> CsvColumn:
     return CsvColumn(map(repr if set(map(type, values)) <= {float, int} else _cell, values))
 
 
-def _csv_line(cells: list) -> str:
-    # csv.writer quotes the only cell of a row when it is empty, so that the row is not blank.
-    return ",".join(cells) if cells != [""] else '""'
-
-
 def atomic_write_csv(path, header, columns) -> Path:
     """Write equal-length ``columns`` of Python scalars, or their ``csv_column``, under ``header`` as CSV.
 
     The bytes are those of ``csv.writer(lineterminator="\\n")`` for the
     rows.  A ``float`` or ``int`` cell is ``repr(value)`` (``nan`` and
     ``inf`` included), so floats round-trip exactly.  Pass Python scalars,
-    not numpy ones.  Raises ``ValueError`` unless there is one column per
-    header cell and all columns have the same length.
+    not numpy ones.  Raises ``ValueError`` unless there are at least two
+    columns, one per header cell, all of the same length.
     """
     columns = [column if isinstance(column, CsvColumn) else csv_column(column) for column in columns]
-    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
-        raise ValueError(f"{path}: expected {len(header)} equal-length columns, got lengths {list(map(len, columns))}")
-    lines = [_csv_line(list(map(_cell, header))), *map(",".join, zip(*columns))]
-    if len(columns) == 1:
-        lines[1:] = (_csv_line([line]) for line in lines[1:])
+    lengths = list(map(len, columns))
+    if len(columns) < 2 or len(columns) != len(header) or len(set(lengths)) > 1:
+        raise ValueError(f"{path}: expected {len(header)} equal-length columns (two or more), got lengths {lengths}")
+    lines = [",".join(map(_cell, header)), *map(",".join, zip(*columns))]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -176,17 +176,12 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
 
     def worker(job):
         method, rate, seed = job
-        channels = channels_at[rate]
+        row = {"rho": rate, "method": method, "seed": seed, "channels": channels_at[rate]}
         try:
-            phi = _sweep_phi(geometry, spec, method, rate, channels, seed)
+            phi = _sweep_phi(geometry, spec, method, rate, row["channels"], seed)
         except ValueError as exc:
-            phi = str(exc)
-        ok = not isinstance(phi, str)
-        return {
-            "rho": rate, "method": method, "seed": seed, "channels": channels,
-            "scf_error": _gap_terms(grid_gram, phi)[1] if ok else math.nan,
-            "status": "ok" if ok else f"error: {phi}",
-        }
+            return {**row, "scf_error": math.nan, "status": f"error: {exc}"}
+        return {**row, "scf_error": _gap_terms(grid_gram, phi)[1], "status": "ok"}
 
     rows = _run_jobs(job_list, worker, jobs)
     rows.sort(key=lambda r: (r["method"], r["rho"], r["seed"]))
@@ -245,8 +240,7 @@ def run_crb_experiment(
     maps, rows = [], []
     for name, phi in sorted({"uncompressed": None, **phis}.items()):
         for kind in sorted(_MAP_KINDS):
-            sep = None if kind == "single" else separation
-            map_ = crb_map(geometry, phi, grid, kind, sep, noise_variance)
+            map_ = crb_map(geometry, phi, grid, kind, separation, noise_variance)
             maps.append((name, kind, map_))
             rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
 

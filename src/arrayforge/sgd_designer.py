@@ -185,8 +185,6 @@ def random_gaussian_phi(channels: int, elements: int, seed) -> CombiningMatrix:
 
     ``seed`` may be an integer or an already-seeded numpy Generator.
     """
-    if channels > elements:
-        raise ValueError("cannot have more channels than elements")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     re = rng.standard_normal((channels, elements))
     im = rng.standard_normal((channels, elements))

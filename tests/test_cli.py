@@ -145,6 +145,16 @@ class TestValidationErrors:
         assert str(out) in err and message in err
         assert a_file.read_text() == "x" and list(a_dir.iterdir()) == []
 
+    def test_evaluate_scf_sidecar_that_is_a_directory_rejected(self, tmp_path, capsys):
+        # this used to score the matrix and write q.csv, then exit 1 with EISDIR, leaving no provenance
+        extra = required_options("evaluate-scf", tmp_path)
+        sidecar = tmp_path / "q_provenance.json"
+        sidecar.mkdir()
+        assert main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, *extra, "--out", str(tmp_path / "q.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar} is a directory" in err
+        assert not (tmp_path / "q.csv").exists() and list(sidecar.iterdir()) == []
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_out_of_the_right_kind_accepted(self, tmp_path, command):
         extra = required_options(command, tmp_path)
@@ -191,6 +201,9 @@ class TestValidationErrors:
             ("sweep", {"rates": 0.4}, "--rates"),
             ("evaluate-crb", {"phi": 5}, "--phi"),
             ("design", {"alpha": int("1" * 401)}, "--alpha"),
+            # true and 1.0 equal 1 in Python, but neither is a JSON integer
+            ("design", {"schema_version": True}, "schema_version"),
+            ("design", {"schema_version": 1.0}, "schema_version"),
         ],
     )
     def test_config_values_coerced_strictly(self, tmp_path, capsys, command, values, flag):
@@ -332,6 +345,12 @@ class TestCliSurface:
             keys |= set(config.options) | {"jobs"}
         assert len(keys) == 33
         assert keys == {option.name for option in cli.OPTIONS}
+
+    def test_every_default_is_its_own_coercion_within_its_bound(self):
+        # A default is used as it stands, so coercion must leave it unchanged; coerce raises outside the bound.
+        for option in cli.OPTIONS:
+            if option.default is not None and option.default is not cli._REQUIRED:
+                assert repr(option.coerce(option.default, option.flag)) == repr(option.default), option.name
 
 
 def _flag_text(value) -> str:

@@ -349,6 +349,12 @@ class TestCrbExperiment:
             expected = [[repr(a), repr(e)] for a, e in zip(azimuth.tolist(), elevation.tolist())]
             assert [row[:2] for row in cells] == expected
 
+    def test_only_pair_maps_have_a_separation(self, small_geometry):
+        grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
+        report = run_crb_experiment(small_geometry, {}, grid, separation=0.3)
+        separations = {kind: map_.separation for _, kind, map_ in report.maps}
+        assert separations == {"single": None, "azimuth-pair": 0.3, "elevation-pair": 0.3}
+
     def test_default_separation_is_two_pi_tenth(self, small_geometry):
         grid = ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0))
         report = run_crb_experiment(small_geometry, {}, grid)

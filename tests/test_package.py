@@ -4,7 +4,7 @@ from pathlib import Path
 from types import ModuleType
 
 import arrayforge
-from arrayforge import array_model, crb_eval, harness, scf_objective, sgd_designer
+from arrayforge import array_model, crb_eval, fileio, harness, scf_objective, sgd_designer
 
 MODULES = (array_model, scf_objective, sgd_designer, crb_eval, harness)
 SOURCES = Path(arrayforge.__file__).parent
@@ -94,3 +94,11 @@ def test_harness_reads_no_input_file():
     tree = ast.parse((SOURCES / "harness.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert {name for name in imported if name.lstrip("_").startswith("load")} == set()
+
+
+def test_cli_takes_the_json_kind_names_from_fileio():
+    # fileio._JSON_KINDS names each JSON kind once; the CLI builds its option descriptions from it.
+    names = {name for name, _ in fileio._JSON_KINDS.values()}
+    tree = ast.parse((SOURCES / "cli.py").read_text(encoding="utf-8"))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert constants & names == set()
