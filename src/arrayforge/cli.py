@@ -89,7 +89,7 @@ TEXT = _scalar(str)
 def _listed(item: Callable) -> Callable:
     def parse(value) -> tuple:
         if isinstance(value, str):
-            value = [part for part in value.split(",") if part.strip()]
+            value = [part for part in map(str.strip, value.split(",")) if part]
         return tuple(item(part) for part in _json_value(value, "", list))
 
     return parse
@@ -172,11 +172,13 @@ OPTIONS = (
     Option("per_stack", INTEGER, 11, _ALL, "SUCA elements per stack"),
     Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths"),
     Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
-    Option("seed", INTEGER, _SGD.seed, _ALL, f"random seed (falls back to {SEED_ENV_VAR})",
+    Option("seed", INTEGER, _SGD.seed, _ALL,
+           f"random seed (falls back to {SEED_ENV_VAR}; evaluate-crb only records it)",
            (lambda v: v >= 0, ">= 0")),
     # Only sweep runs jobs in parallel; results do not depend on it, so it is not recorded.
     Option("jobs", INTEGER, _usable_cores(), _ALL,
-           "sweep worker threads, each using one BLAS thread (default: the cores this process may use)",
+           "sweep worker threads, each using one BLAS thread (default: the cores this process may use);"
+           " the other commands ignore it",
            (lambda v: v >= 1, ">= 1")),
     Option("out", TEXT, _REQUIRED, _ALL, "output file (design, evaluate-scf) or directory (evaluate-crb, sweep)",
            (lambda v: v != "", "a nonempty path")),
@@ -185,8 +187,7 @@ OPTIONS = (
     Option("batch", INTEGER, _SGD.batch_size, _OPTIMIZER, "directions per SGD batch"),
     Option("alpha", NUMBER, _SGD.step_size, _OPTIMIZER, "SGD step size"),
     Option("eta", NUMBER, _SGD.drag, _OPTIMIZER, "momentum drag", (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
-    Option("renormalize_every", INTEGER, _SGD.renormalize_every, _OPTIMIZER, "column renormalization period"),
-    Option("record_every", INTEGER, _SGD.record_every, _OPTIMIZER, "cost recording period"),
+    Option("record_every", INTEGER, _SGD.record_every, _OPTIMIZER, "cost recording period (sweep ignores it)"),
     Option("sample_az_min", NUMBER, _SGD.azimuth_range[0], _OPTIMIZER, "lowest sampled azimuth"),
     Option("sample_az_max", NUMBER, _SGD.azimuth_range[1], _OPTIMIZER, "highest sampled azimuth"),
     Option("sample_el_min", NUMBER, _SGD.elevation_range[0], _OPTIMIZER, "lowest sampled polar elevation"),
@@ -400,7 +401,6 @@ def _build(command: str, v: dict, given: set) -> CliConfig:
             azimuth_range=(v["sample_az_min"], v["sample_az_max"]),
             elevation_range=(v["sample_el_min"], v["sample_el_max"]),
             seed=v["seed"],
-            renormalize_every=v["renormalize_every"],
             record_every=v["record_every"],
         )
     if command == "design" and not 1 <= v["channels"] <= geometry.element_count:

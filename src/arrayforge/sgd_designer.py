@@ -40,7 +40,9 @@ class OptimizerConfig:
 
     Directions are drawn i.i.d. uniform on ``azimuth_range x elevation_range``
     (elevation as polar angle).  A degenerate range pins that angle to a
-    single value.
+    single value.  Every step renormalizes the matrix columns.  ``from_dict``
+    reads only these fields, so the renormalization period that older
+    traces record is ignored.
     """
 
     iterations: int = 5000
@@ -50,7 +52,6 @@ class OptimizerConfig:
     azimuth_range: tuple = (0.0, 2.0 * math.pi)
     elevation_range: tuple = (math.pi / 4.0, 3.0 * math.pi / 4.0)
     seed: int = 0
-    renormalize_every: int = 1
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -66,15 +67,15 @@ class OptimizerConfig:
         _check_range("elevation_range", self.elevation_range)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.renormalize_every < 1 or self.record_every < 1:
-            raise ValueError("renormalize_every and record_every must be at least 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be at least 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
-        integers = ("iterations", "batch_size", "seed", "renormalize_every", "record_every")
+        integers = ("iterations", "batch_size", "seed", "record_every")
         ranges = ("azimuth_range", "elevation_range")
         _require_keys(data, (*integers, "step_size", "drag", *ranges), "optimizer config")
         return cls(
@@ -208,9 +209,9 @@ def step(
 
     Samples a fresh batch from the state's generator unless one is given,
     updates v <- drag*v - step_size*gradient, moves phi by v, and
-    renormalizes columns on the configured cadence (velocity is left
-    untouched by renormalization).  The returned state's ``cost`` is the
-    batch cost before the update, from the same steering evaluation.
+    renormalizes its columns (velocity is left untouched by
+    renormalization).  The returned state's ``cost`` is the batch cost
+    before the update, from the same steering evaluation.
     """
     if state.iteration >= config.iterations:
         raise ValueError("optimizer state is already finished")
@@ -218,9 +219,7 @@ def step(
         batch = sample_batch(config, state.rng)
     cost, grad = _cost_and_gradient(geometry, state.phi, batch)
     velocity = config.drag * state.velocity - config.step_size * grad
-    phi = CombiningMatrix(state.phi.entries + velocity)
-    if state.iteration % config.renormalize_every == 0:
-        phi = phi.normalize()
+    phi = CombiningMatrix(state.phi.entries + velocity).normalize()
     return OptimizerState(phi, velocity, state.iteration + 1, state.rng, cost)
 
 
@@ -228,8 +227,8 @@ def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> D
     """Run the full seeded design loop and return its trace.
 
     Each iteration is one ``step``; its ``cost`` is recorded every
-    ``record_every`` iterations.  The returned matrix is always
-    column-normalized.
+    ``record_every`` iterations.  The returned matrix is column-normalized:
+    the start is, and so is every step's result.
     """
     state = initial_state(geometry, channels, config)
     costs = []
@@ -237,8 +236,4 @@ def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> D
         state = step(geometry, state, config)
         if i % config.record_every == 0:
             costs.append((i, state.cost))
-    phi = state.phi
-    last = config.iterations - 1
-    if config.iterations > 0 and last % config.renormalize_every != 0:
-        phi = phi.normalize()
-    return DesignTrace(costs=costs, final_phi=phi, config=config)
+    return DesignTrace(costs=costs, final_phi=state.phi, config=config)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import arrayforge
-from arrayforge import CombiningMatrix, make_suca, save_geometry
+from arrayforge import CombiningMatrix, DesignTrace, make_suca, save_geometry
 from arrayforge import cli
 from arrayforge.cli import main, parse_and_validate
 from oracles import random_unitary
@@ -174,6 +174,21 @@ class TestValidationErrors:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_renormalization_period_is_no_longer_an_option(self, tmp_path, capsys, source):
+        # The designer renormalizes after every step, so the period that was once an option is unknown.
+        argv = ["design", "--channels", "2", "--out", str(tmp_path / "t")]
+        if source == "flag":
+            argv += ["--renormalize-every", "1"]
+            message = "unrecognized arguments: --renormalize-every"
+        else:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"schema_version": 1, "renormalize_every": 1}))
+            argv += ["--config", str(cfg)]
+            message = "unknown keys: renormalize_every"
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_file_must_hold_an_object(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps([{"schema_version": 1}]))
@@ -246,7 +261,9 @@ class TestValidationErrors:
         assert code == 2
         assert "need at least one method" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--rates", "0.5,0.5"], ["--methods", "gaussian,gaussian"]])
+    @pytest.mark.parametrize(
+        "flags", [["--rates", "0.5,0.5"], ["--methods", "gaussian,gaussian"], ["--methods", "gaussian, gaussian"]]
+    )
     def test_repeated_rates_or_methods_rejected(self, tmp_path, capsys, flags):
         code = main(
             ["sweep", *SMALL_GEOM, *SMALL_GRID, "--seeds-per-point", "2", *flags, "--out", str(tmp_path)]
@@ -290,7 +307,7 @@ GRID_DEFAULTS = {
     "grid_az": 121, "grid_el": 61, "az_min": -math.pi, "az_max": math.pi, "el_min": 0.0, "el_max": math.pi,
 }
 OPTIMIZER_DEFAULTS = {
-    "iters": 5000, "batch": 250, "alpha": 1e-2, "eta": 0.1, "renormalize_every": 1, "record_every": 1,
+    "iters": 5000, "batch": 250, "alpha": 1e-2, "eta": 0.1, "record_every": 1,
     "sample_az_min": 0.0, "sample_az_max": 2 * math.pi,
     "sample_el_min": math.pi / 4, "sample_el_max": 3 * math.pi / 4,
 }
@@ -309,7 +326,7 @@ class TestCliSurface:
         common = {"--config", "--geometry", "--stacks", "--per-stack", "--spacing-wl", "--radius-wl",
                   "--seed", "--jobs", "--out"}
         grid = {"--grid-az", "--grid-el", "--az-min", "--az-max", "--el-min", "--el-max"}
-        optimizer = {"--iters", "--batch", "--alpha", "--eta", "--renormalize-every", "--record-every",
+        optimizer = {"--iters", "--batch", "--alpha", "--eta", "--record-every",
                      "--sample-az-min", "--sample-az-max", "--sample-el-min", "--sample-el-max"}
         assert flags == {
             "design": common | optimizer | {"--channels"},
@@ -317,7 +334,7 @@ class TestCliSurface:
             "evaluate-crb": common | grid | {"--phi", "--sigma2", "--separation"},
             "sweep": common | grid | optimizer | {"--rates", "--seeds-per-point", "--methods", "--external-phi"},
         }
-        assert [len(flags[c]) for c in ("design", "evaluate-scf", "evaluate-crb", "sweep")] == [20, 17, 18, 29]
+        assert [len(flags[c]) for c in ("design", "evaluate-scf", "evaluate-crb", "sweep")] == [19, 17, 18, 28]
 
     def test_config_keys_and_recorded_defaults(self, tmp_path, monkeypatch):
         monkeypatch.delenv("ARRAYFORGE_SEED", raising=False)
@@ -343,7 +360,7 @@ class TestCliSurface:
             assert config.options == {**options, "out": out}
             assert config.jobs >= 1
             keys |= set(config.options) | {"jobs"}
-        assert len(keys) == 33
+        assert len(keys) == 32
         assert keys == {option.name for option in cli.OPTIONS}
 
     def test_every_default_is_its_own_coercion_within_its_bound(self):
@@ -503,7 +520,6 @@ class TestEvaluateScfCommand:
             (("config", "seed"), 3.7, "seed"),
             (("config", "iterations"), True, "iterations"),
             (("config", "batch_size"), 5.0, "batch_size"),
-            (("config", "renormalize_every"), "1", "renormalize_every"),
             (("config", "record_every"), 1.0, "record_every"),
             (("channels",), 2.9, "channels"),
             (("channels",), 3, "channels"),
@@ -531,7 +547,7 @@ class TestEvaluateScfCommand:
             (("costs", 1, 1), math.nan, "costs[1][1]"),
         ],
         ids=[
-            "seed", "iterations", "batch_size", "renormalize_every", "record_every",
+            "seed", "iterations", "batch_size", "record_every",
             "channels-float", "channels-not-rows", "cost-iteration", "rows", "cols",
             "no-costs", "no-channels", "no-config", "no-seed", "no-step_size", "no-im",
             "no-phi", "config-number", "costs-number", "cost-entry-number", "cost-value-string",
@@ -556,6 +572,22 @@ class TestEvaluateScfCommand:
         assert code == 2
         assert f'"{key}"' in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_trace_with_a_renormalization_period_still_reads(self, tmp_path, period):
+        # Traces written while the renormalization period was an option record it in their config.
+        trace = run_design(tmp_path)
+        doc = json.loads(trace.read_text())
+        old_doc = {**doc, "config": {**doc["config"], "renormalize_every": period}}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(old_doc))
+        assert DesignTrace.from_dict(old_doc).to_dict() == DesignTrace.from_dict(doc).to_dict()
+        rows = []
+        for path in (trace, old):
+            out = tmp_path / f"{path.stem}.csv"
+            assert main(["evaluate-scf", *SMALL_GEOM, *SMALL_GRID, "--phi", str(path), "--out", str(out)]) == 0
+            rows.append(read_rows(out))
+        assert rows[0] == rows[1]
 
     def test_trace_iterations_must_increase(self, tmp_path, capsys):
         trace = run_design(tmp_path)

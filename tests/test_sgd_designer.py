@@ -289,10 +289,13 @@ class TestDesign:
 
     def test_final_phi_is_column_normalized(self):
         geom = make_suca(1, 6, 0.5, 0.4)
-        for renorm in (1, 3, 100):
-            config = OptimizerConfig(iterations=7, batch_size=4, seed=2, renormalize_every=renorm)
-            trace = design(geom, 2, config)
-            assert trace.final_phi.is_column_normalized(1e-10)
+        assert design(geom, 2, OptimizerConfig(iterations=0, seed=2)).final_phi.is_column_normalized(1e-10)
+        config = OptimizerConfig(iterations=7, batch_size=4, seed=2)
+        state = initial_state(geom, 2, config)
+        for _ in range(config.iterations):
+            state = step(geom, state, config)
+            assert state.phi.is_column_normalized(1e-10)
+        assert np.array_equal(design(geom, 2, config).final_phi.entries, state.phi.entries)
 
     @settings(max_examples=50, deadline=None)
     @given(
