@@ -42,6 +42,7 @@ from .harness import (
     SWEEP_METHODS,
     SweepSpec,
     _check_labels,
+    _provenance_head,
     _sweep_channels,
     run_crb_experiment,
     run_scf_sweep,
@@ -368,8 +369,9 @@ def _out_path(command: str, text: str) -> Path:
         if os.path.exists(path) and os.path.isdir(path) != directory:
             kind, other = kinds[directory], kinds[not directory]
             raise CliError(f"--out must name a {kind} for {command}, but {path} is a {other}")
-    above = next(parent for parent in out.absolute().parents if os.path.exists(parent))
-    if not os.path.isdir(above):
+    # The root has no parent to scan; every other path has the root among its parents.
+    above = next((parent for parent in out.absolute().parents if os.path.exists(parent)), None)
+    if above is not None and not os.path.isdir(above):
         raise CliError(f"--out {out} lies under {above}, which is not a directory")
     return out
 
@@ -457,15 +459,14 @@ def parse_and_validate(argv) -> CliConfig:
         raise CliError(str(exc)) from None
 
 
-def _provenance(config: CliConfig) -> dict:
-    return {
-        "schema_version": 1,
-        "command": config.command,
-        "package_version": __version__,
-        "geometry": config.geometry.to_dict(),
-        "resolved_options": config.options,
-        "blas_threads": config.blas_threads,
-    }
+def _provenance(config: CliConfig, **fields) -> dict:
+    return _provenance_head(
+        config.geometry,
+        command=config.command,
+        resolved_options=config.options,
+        blas_threads=config.blas_threads,
+        **fields,
+    )
 
 
 def _emit(path: Path, detail: str) -> None:
@@ -493,10 +494,7 @@ def _run_evaluate_scf(config: CliConfig) -> int:
     atomic_write_csv(config.out, ["rho", "method", "seed", "scf_error"], [[rho], [v["method"]], [v["seed"]], [error]])
     _emit(config.out, f"rho={rho:.6g}, method={v['method']}, scf_error={error:.6g}")
     sidecar = _scf_sidecar(config.out)
-    doc = _provenance(config)
-    doc["grid"] = config.grid.to_dict()
-    doc["phi_file"] = str(Path(v["phi"]))
-    atomic_write_json(sidecar, doc)
+    atomic_write_json(sidecar, _provenance(config, grid=config.grid.to_dict(), phi_file=str(Path(v["phi"]))))
     _emit(sidecar, "provenance")
     return EXIT_OK
 

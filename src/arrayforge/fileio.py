@@ -2,17 +2,17 @@
 
 All writers serialize fully in memory, write to a temporary file next to
 the target, and rename it into place, so an interrupted run never leaves
-a truncated artifact behind.  An artifact gets the mode that ``open``
-gives a new file under the umask in effect at import (0644 under umask
-022).  Output is canonical (sorted JSON keys, LF line endings, repr
-floats) so identical inputs produce identical bytes.  Every CSV artifact
-goes through the one column writer ``atomic_write_csv``, so this module
-owns the CSV cell format: callers pass at least two columns of Python
-scalars, or a ``csv_column`` of them, and never encode cells themselves.
-A row of two or more cells is never blank, so no cell needs the quoting
-``csv.writer`` gives a lone empty one.  Document readers check each value
-with ``_require_keys``, ``_json_value`` and ``_json_numbers``, which name
-the key.
+a truncated artifact behind.  The temporary file is created as ``open``
+creates a new file, so an artifact gets mode 0666 less the umask in
+effect when it is written (0644 under umask 022).  Output is canonical
+(sorted JSON keys, LF line endings, repr floats) so identical inputs
+produce identical bytes.  Every CSV artifact goes through the one column
+writer ``atomic_write_csv``, so this module owns the CSV cell format:
+callers pass at least two columns of Python scalars, or a ``csv_column``
+of them, and never encode cells themselves.  A row of two or more cells
+is never blank, so no cell needs the quoting ``csv.writer`` gives a lone
+empty one.  Document readers check each value with ``_require_keys``,
+``_json_value`` and ``_json_numbers``, which name the key.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 __all__ = [
@@ -35,25 +34,19 @@ __all__ = [
 ]
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# The mode open() gives a new file (0644 under umask 022), read once at import
-# so that writing does not change the process umask; mkstemp's file is 0600.
-_FILE_MODE = 0o666 & ~_umask()
+# Created with mode 0666 as open() creates a file, so the kernel applies the umask;
+# O_EXCL and O_NOFOLLOW never reuse or follow a name that is already there.
+_TEMP_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_NOFOLLOW", 0) | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write_text(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, _TEMP_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         try:

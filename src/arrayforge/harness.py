@@ -1,9 +1,10 @@
 """Seeded batch experiments: SCF-error sweeps and CRB map suites.
 
 Every job is independent and deterministically seeded, so runs can be
-parallelized and always reproduce byte-identical artifacts.  Output rows
-are sorted on canonical keys before writing, making the results not
-depend on the execution order or the degree of parallelism.
+parallelized and always reproduce byte-identical artifacts.  A sweep
+lists its jobs in artifact order and gets its rows back in job order, so
+the results do not depend on the execution order or the degree of
+parallelism.
 
 This module owns the artifact names and writes every report and CRB map
 file through ``fileio``; design labels name the map files, so the label
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -124,6 +126,11 @@ class ExperimentReport:
     maps: list | None = None
 
 
+def _provenance_head(geometry: ArrayGeometry, **fields) -> dict:
+    """The fields every provenance block starts with, plus ``fields``."""
+    return {"schema_version": 1, "package_version": __version__, "geometry": geometry.to_dict(), **fields}
+
+
 def _sweep_channels(geometry, spec, sources=None) -> dict:
     """Channel count per rate; ``ValueError`` (naming ``sources[rate]``) for a wrongly shaped external matrix."""
     elements = geometry.element_count
@@ -170,9 +177,8 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     grid_gram = _steering_gram(geometry, *spec.grid.angles())
 
     seeds = [spec.optimizer.seed + j for j in range(spec.seeds_per_point)]
-    job_list = [
-        (method, rate, seed) for method in spec.methods for rate in spec.compression_rates for seed in seeds
-    ]
+    # In artifact order, so the rows come back sorted however many threads run the jobs.
+    job_list = list(itertools.product(sorted(spec.methods), sorted(spec.compression_rates), seeds))
 
     def worker(job):
         method, rate, seed = job
@@ -184,40 +190,32 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
         return {**row, "scf_error": _gap_terms(grid_gram, phi)[1], "status": "ok"}
 
     rows = _run_jobs(job_list, worker, jobs)
-    rows.sort(key=lambda r: (r["method"], r["rho"], r["seed"]))
 
     aggregates = []
-    for method in sorted(spec.methods):
-        for rate in sorted(spec.compression_rates):
-            errors = [
-                r["scf_error"]
-                for r in rows
-                if r["method"] == method and r["rho"] == rate and r["status"] == "ok"
-            ]
-            if not errors:
-                continue
-            q25, median, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
-            aggregates.append(
-                {
-                    "method": method,
-                    "rho": rate,
-                    "channels": channels_at[rate],
-                    "count": len(errors),
-                    "median_scf_error": float(median),
-                    "q25_scf_error": float(q25),
-                    "q75_scf_error": float(q75),
-                }
-            )
+    for (method, rate), group in itertools.groupby(rows, key=lambda r: (r["method"], r["rho"])):
+        errors = [r["scf_error"] for r in group if r["status"] == "ok"]
+        if not errors:
+            continue
+        q25, median, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
+        aggregates.append(
+            {
+                "method": method,
+                "rho": rate,
+                "channels": channels_at[rate],
+                "count": len(errors),
+                "median_scf_error": float(median),
+                "q25_scf_error": float(q25),
+                "q75_scf_error": float(q75),
+            }
+        )
 
-    provenance = {
-        "schema_version": 1,
-        "experiment": "scf_sweep",
-        "package_version": __version__,
-        "geometry": geometry.to_dict(),
-        "spec": spec.to_dict(),
-        "seeds": seeds,
-        "channel_rule": "channels = floor(rate * elements + 0.5)",
-    }
+    provenance = _provenance_head(
+        geometry,
+        experiment="scf_sweep",
+        spec=spec.to_dict(),
+        seeds=seeds,
+        channel_rule="channels = floor(rate * elements + 0.5)",
+    )
     return ExperimentReport(rows, aggregates, provenance)
 
 
@@ -244,16 +242,14 @@ def run_crb_experiment(
             maps.append((name, kind, map_))
             rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
 
-    provenance = {
-        "schema_version": 1,
-        "experiment": "crb",
-        "package_version": __version__,
-        "geometry": geometry.to_dict(),
-        "grid": grid.to_dict(),
-        "noise_variance": noise_variance,
-        "separation": separation,
-        "methods": ["uncompressed", *sorted(phis)],
-    }
+    provenance = _provenance_head(
+        geometry,
+        experiment="crb",
+        grid=grid.to_dict(),
+        noise_variance=noise_variance,
+        separation=separation,
+        methods=["uncompressed", *sorted(phis)],
+    )
     return ExperimentReport(rows, [], provenance, maps=maps)
 
 

@@ -162,6 +162,12 @@ class TestValidationErrors:
         for out in (existing, tmp_path / "new" / "deeper" / "out"):
             assert parse_and_validate([command, *SMALL_GEOM, *extra, "--out", str(out)]).out == out
 
+    @pytest.mark.parametrize("command", ["evaluate-crb", "sweep"])
+    def test_root_directory_out_accepted(self, command):
+        # the root has no parent, and validation used to raise StopIteration scanning its parents;
+        # main would write into it, so only validation runs here
+        assert parse_and_validate([command, *SMALL_GEOM, "--out", "/"]).out == Path("/")
+
     def test_bad_rate_rejected(self, tmp_path, capsys):
         code = main(["sweep", *SMALL_GEOM, "--rates", "0.5,1.4", "--out", str(tmp_path)])
         assert code == 2

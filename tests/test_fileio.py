@@ -105,6 +105,21 @@ def test_artifacts_are_0644_under_umask_022(tmp_path):
     assert done.stdout.strip() == "0o644"
 
 
+def test_artifact_mode_follows_the_umask_at_write_time(tmp_path):
+    # The mode used to come from the umask in effect at import.
+    script = (
+        "import os, sys; os.umask(0o022)\n"
+        "from arrayforge.fileio import atomic_write_text\n"
+        "os.umask(0o077)\n"
+        "print(oct(os.stat(atomic_write_text(sys.argv[1], 'x')).st_mode & 0o777))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.txt")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0o600"
+
+
 @pytest.mark.parametrize(
     "value", [math.nan, math.inf, -math.inf, 10**400, True, "0.5"], ids=["nan", "inf", "-inf", "10**400", "bool", "text"]
 )

@@ -82,6 +82,16 @@ class TestScfSweep:
         keys = [(r["method"], r["rho"], r["seed"]) for r in report.rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unsorted_spec_gives_rows_in_artifact_order(self, small_geometry, jobs):
+        # rows and aggregates follow (method, rho, seed) whatever order the spec lists them in
+        unsorted = run_scf_sweep(small_geometry, small_spec(methods=("sgd", "gaussian"), compression_rates=(1.0, 0.5)),
+                                 jobs=jobs)
+        keys = [(r["method"], r["rho"], r["seed"]) for r in unsorted.rows]
+        assert keys == sorted(keys) and len(keys) == 2 * 2 * 2
+        ordered = run_scf_sweep(small_geometry, small_spec(), jobs=jobs)
+        assert (unsorted.rows, unsorted.aggregates) == (ordered.rows, ordered.aggregates)
+
     def test_full_rate_gaussian_positive_unitary_zero(self, small_geometry):
         unitary = CombiningMatrix(random_unitary(6, np.random.default_rng(0)))
         spec = small_spec(
