@@ -2,23 +2,23 @@
 
 All writers serialize fully in memory, write to a temporary file next to
 the target, and rename it into place, so an interrupted run never leaves
-a truncated artifact behind.  The temporary file is created as ``open``
-creates a new file, so an artifact gets mode 0666 less the umask in
-effect when it is written (0644 under umask 022).  Output is canonical
-(sorted JSON keys, LF line endings, repr floats) so identical inputs
-produce identical bytes.  Every CSV artifact goes through the one column
-writer ``atomic_write_csv``, so this module owns the CSV cell format:
-callers pass at least two columns of Python scalars, or a ``csv_column``
-of them, and never encode cells themselves.  A row of two or more cells
-is never blank, so no cell needs the quoting ``csv.writer`` gives a lone
-empty one.  Document readers check each value with ``_require_keys``,
+a truncated artifact behind.  The temporary name is random and of fixed
+length, not derived from the target's, so any valid target name can be
+written.  The temporary file is created as ``open`` creates a new file,
+so an artifact gets mode 0666 less the umask in effect when it is written
+(0644 under umask 022).  Output is canonical (sorted JSON keys, LF line
+endings, repr floats) so identical inputs produce identical bytes.  Every
+CSV artifact goes through the one column writer ``atomic_write_csv``, so
+this module owns the CSV cell format: callers pass at least two columns
+of Python scalars, or a ``csv_column`` of them, and never encode cells
+themselves.  A row of two or more cells is never blank, so no cell needs
+the quoting ``csv.writer`` gives a lone empty one.  Document readers check each value with ``_require_keys``,
 ``_json_value`` and ``_json_numbers``, which name the key.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -42,7 +42,7 @@ _TEMP_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_NOFOLLOW", 0
 def atomic_write_text(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+    tmp = path.parent / f".{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, _TEMP_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
@@ -69,7 +69,6 @@ class CsvColumn(tuple):
     """The CSV text of a column of cells, made by ``csv_column``; a caller may write it to several files."""
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def _quoted(value) -> str:
     """``value`` as ``csv.writer`` writes it in a row of several cells."""
     buffer = io.StringIO()
@@ -85,8 +84,15 @@ def _cell(value) -> str:
 def csv_column(values) -> CsvColumn:
     """The CSV text of each Python scalar in ``values``."""
     values = list(values)
-    # A column of numbers skips the per-cell dispatch.
-    return CsvColumn(map(repr if set(map(type, values)) <= {float, int} else _cell, values))
+    types = set(map(type, values))
+    # A column of numbers or of strings skips the per-cell dispatch.
+    if types <= {float, int}:
+        return CsvColumn(map(repr, values))
+    if types == {str}:
+        # A status column repeats a few strings: each is quoted once.
+        texts = {value: _quoted(value) for value in set(values)}
+        return CsvColumn(map(texts.__getitem__, values))
+    return CsvColumn(map(_cell, values))
 
 
 def atomic_write_csv(path, header, columns) -> Path:

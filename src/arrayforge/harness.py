@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .array_model import ArrayGeometry
-from .crb_eval import _MAP_KINDS, CrbMap, crb_map
+from .crb_eval import _MAP_KINDS, CrbMap, _shared_pass, crb_map
 from .fileio import atomic_write_csv, atomic_write_json, canonical_json, csv_column
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
@@ -231,16 +231,22 @@ def run_crb_experiment(
     ``phis`` maps a label to a CombiningMatrix; the uncompressed array is
     always included under the label "uncompressed".  Labels name the map
     files, so "uncompressed" and two labels that name the same files raise
-    ``ValueError``.
+    ``ValueError``.  All maps come from one pass over the grid, which
+    evaluates each source direction once for every design and kind.  A
+    map has the statuses of ``crb_map`` of its design and kind, and its
+    values up to round-off.
     """
     _check_labels(phis)
 
+    designs = sorted({"uncompressed": None, **phis}.items())
+    kinds = sorted(_MAP_KINDS)
     maps, rows = [], []
-    for name, phi in sorted({"uncompressed": None, **phis}.items()):
-        for kind in sorted(_MAP_KINDS):
-            map_ = crb_map(geometry, phi, grid, kind, separation, noise_variance)
-            maps.append((name, kind, map_))
-            rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
+    with _shared_pass(geometry, [phi for _, phi in designs], grid, kinds, separation, noise_variance):
+        for name, phi in designs:
+            for kind in kinds:
+                map_ = crb_map(geometry, phi, grid, kind, separation, noise_variance)
+                maps.append((name, kind, map_))
+                rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
 
     provenance = _provenance_head(
         geometry,

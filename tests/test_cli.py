@@ -999,6 +999,13 @@ class TestAtomicWrites:
         assert json.loads(target.read_text()) == {"old": True}
         assert [p.name for p in tmp_path.iterdir()] == ["data.json"]
 
+    def test_design_writes_a_245_byte_file_name(self, tmp_path):
+        # The temporary file's name does not grow with the target's, so 245 bytes of 255 is fine.
+        out = tmp_path / ("a" * 240 + ".json")
+        code = main(["design", *SMALL_GEOM, "--iters", "1", "--batch", "5", "--channels", "2", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["channels"] == 2
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

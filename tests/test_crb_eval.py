@@ -16,9 +16,10 @@ from arrayforge import (
     crb,
     crb_map,
     random_gaussian_phi,
+    run_crb_experiment,
     write_crb_map,
 )
-from arrayforge import crb_eval
+from arrayforge import array_model, crb_eval
 from oracles import elementwise_steering, numerical_fim_crb, orthogonal_complement_projector, random_unitary
 
 
@@ -330,6 +331,61 @@ class TestCrbMap:
                 # perturbation of F by at most the condition of F.
                 tolerance = 1e-12 * max(1.0, scalar.fim_condition)
                 assert abs(result.values[i, j] - scalar.trace_value) <= tolerance * scalar.trace_value
+
+    @pytest.mark.parametrize("block_cells", [crb_eval._BLOCK_CELLS, 7])
+    def test_experiment_steers_each_source_once_for_all_designs(self, suca33, monkeypatch, block_cells):
+        # One pass serves every design and kind: the grid point and its
+        # azimuth partner at every cell, the elevation partner where present.
+        monkeypatch.setattr(crb_eval, "_BLOCK_CELLS", block_cells)
+        angles = []
+        real = array_model._propagation
+
+        def counting(azimuth, elevation):
+            angles.append(np.size(azimuth))
+            return real(azimuth, elevation)
+
+        monkeypatch.setattr(array_model, "_propagation", counting)
+        grid = ScfGrid(23, 13, (-math.pi, math.pi), (0.0, math.pi))
+        sep = 2.0 * math.pi / 10.0
+        elevation = grid.angles()[1]
+        present = int(np.sum((0.0 < elevation + sep) & (elevation + sep < math.pi)))
+        gaussian = random_gaussian_phi(13, 33, 4)
+        unitary = CombiningMatrix(random_unitary(33, np.random.default_rng(5))[:20])
+        for phis in ({"gaussian": gaussian}, {"gaussian": gaussian, "unitary": unitary}):
+            angles.clear()
+            report = run_crb_experiment(suca33, phis, grid, separation=sep)
+            assert sum(angles) == 2 * grid.point_count + present
+        monkeypatch.setattr(array_model, "_propagation", real)
+        designs = {"uncompressed": None, "gaussian": gaussian, "unitary": unitary}
+        assert len(report.maps) == 3 * len(designs)
+        for name, kind, map_ in report.maps:
+            alone = crb_map(suca33, designs[name], grid, kind, None if kind == "single" else sep)
+            # evaluated on its own, not handed out by the experiment's pass
+            assert alone is not map_
+            assert np.array_equal(map_.status, alone.status)
+            assert np.array_equal(np.isnan(map_.values), map_.status != "ok")
+            for i, j in zip(*np.nonzero(map_.status == "ok")):
+                sources = map_cell_sources(kind, grid.azimuths()[i], grid.elevations()[j], sep)
+                condition = crb(suca33, CrbScenario(sources, np.ones(len(sources)), 1.0, designs[name])).fim_condition
+                # The same bound as in test_cells_do_not_depend_on_block_boundaries.
+                tolerance = 1e-12 * max(1.0, condition)
+                assert abs(map_.values[i, j] - alone.values[i, j]) <= tolerance * alone.values[i, j]
+
+    @pytest.mark.parametrize("sep", [math.pi, 4.0])
+    def test_elevation_pair_past_the_pole_has_no_present_cell(self, suca33, sep):
+        # Every partner lies at or past elevation pi, so no block has an elevation-pair cell to score.
+        grid = ScfGrid(7, 5, (-1.0, 1.0), (0.0, math.pi))
+        alone = crb_map(suca33, None, grid, "elevation-pair", sep)
+        report = run_crb_experiment(suca33, {"gaussian": random_gaussian_phi(13, 33, 2)}, grid, separation=sep)
+        maps = [alone, *(map_ for _, kind, map_ in report.maps if kind == "elevation-pair")]
+        assert len(maps) == 3
+        for map_ in maps:
+            assert set(map_.status.ravel()) == {"absent"}
+            assert np.all(np.isnan(map_.values))
+            stats = map_.log10_statistics()
+            assert math.isnan(stats["median_log10_crb"]) and math.isnan(stats["variance_log10_crb"])
+            assert (stats["cells_total"], stats["cells_ok"], stats["cells_absent"]) == (35, 0, 35)
+            assert stats["cells_rank_deficient"] == stats["cells_unidentifiable"] == 0
 
     def test_compressed_map_runs(self, suca33):
         phi = random_gaussian_phi(13, 33, 9)

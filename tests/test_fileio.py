@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from arrayforge import fileio
 from arrayforge.fileio import _json_value, atomic_write_csv, atomic_write_text, csv_column
 
 FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]
@@ -60,6 +61,25 @@ def test_columns_write_the_bytes_of_csv_writer(tmp_path):
     numbers, others = FLOATS + INTS, (TEXTS + ODD_CELLS)[: len(FLOATS + INTS)]
     expected = csv_writer_bytes(["n", "o"], zip(numbers, others))
     assert atomic_write_csv(tmp_path / "split.csv", ["n", "o"], [numbers, others]).read_bytes() == expected
+    # a status column that repeats its strings, one of them quoted, beside a mixed column with a NaN
+    statuses = ["ok", 'a,"b"', "ok", "absent", 'a,"b"', "ok", "rank-deficient"]
+    mixed = ["ok", math.nan, 'a,"b"', 3, None, "ok", 0.5]
+    expected = csv_writer_bytes(["status", "mixed"], zip(statuses, mixed))
+    assert atomic_write_csv(tmp_path / "repeated.csv", ["status", "mixed"], [statuses, mixed]).read_bytes() == expected
+
+
+def test_a_string_column_quotes_each_distinct_string_once(monkeypatch):
+    quoted = []
+    real = fileio._quoted
+
+    def counting(value):
+        quoted.append(value)
+        return real(value)
+
+    monkeypatch.setattr(fileio, "_quoted", counting)
+    column = csv_column(["ok", 'a,"b"', "absent"] * 50)
+    assert sorted(quoted) == sorted(["ok", 'a,"b"', "absent"])
+    assert column[:3] == ("ok", '"a,""b"""', "absent")
 
 
 @pytest.mark.parametrize(
@@ -82,6 +102,15 @@ def test_columns_must_match_the_header_and_each_other(tmp_path, header, columns)
     with pytest.raises(ValueError, match="equal-length columns"):
         atomic_write_csv(tmp_path / "bad.csv", header, columns)
     assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("length", [245, 255])
+def test_any_valid_file_name_can_be_written(tmp_path, length):
+    # The temporary file's name does not grow with the target's, so a name at
+    # the usual 255-byte limit is written and nothing else is left behind.
+    target = tmp_path / ("a" * (length - len(".json")) + ".json")
+    assert atomic_write_text(target, "x").read_text() == "x"
+    assert [path.name for path in tmp_path.iterdir()] == [target.name]
 
 
 def test_artifacts_get_the_mode_open_gives_a_new_file(tmp_path):
