@@ -121,16 +121,41 @@ def make_suca(stacks: int, per_stack: int, spacing: float, radius: float) -> Arr
 
 
 def _propagation(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """Unit propagation vector(s) for matching-shape angle arrays, as (3, ...)."""
+    """Unit propagation vectors for matching-shape (..., L) angle arrays, as (..., 3, L)."""
     sin_el = np.sin(elevation)
     return np.stack(
-        [np.cos(azimuth) * sin_el, np.sin(azimuth) * sin_el, np.cos(elevation)]
+        [np.cos(azimuth) * sin_el, np.sin(azimuth) * sin_el, np.cos(elevation)], axis=-2
     )
 
 
-def _phasors(positions: np.ndarray, propagation: np.ndarray) -> np.ndarray:
-    """exp(j * 2*pi * <p, u>) for every row p of ``positions`` and column u of ``propagation``."""
-    return np.exp(1j * (_TWO_PI * (positions @ propagation)))
+def _row_phasors(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """exp(j * 2*pi * <p, u>) for the geometry's rows p and (..., L) angle arrays, as (..., R, L).
+
+    The rows are the element groups on a grouped geometry, else the
+    elements.  Each 3 x L block of propagation vectors gets its own phase
+    product, so block k equals the phasors of angle row k alone bit for bit.
+    """
+    rows = geometry.positions if geometry._stack is None else geometry._stack[0]
+    return np.exp(1j * (_TWO_PI * (rows @ _propagation(azimuth, elevation))))
+
+
+def _element_steering(geometry: ArrayGeometry, phasors: np.ndarray) -> np.ndarray:
+    """The N x L steering matrix from one R x L block of ``_row_phasors``."""
+    if geometry._stack is None:
+        return phasors
+    _, horizontal_row, height_row = geometry._stack
+    return phasors[horizontal_row] * phasors[height_row]
+
+
+def _steering_rows(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray):
+    """Yield the N x L steering matrix of each row of (n, L) angle arrays.
+
+    The phasors of all rows come from one exponential call; each row's
+    element products are formed when it is reached, so no n x N x L stack
+    is held.  Each matrix equals ``steering_angles`` of its row bit for bit.
+    """
+    for phasors in _row_phasors(geometry, azimuth, elevation):
+        yield _element_steering(geometry, phasors)
 
 
 def steering_angles(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
@@ -145,12 +170,7 @@ def steering_angles(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     elevation = np.asarray(elevation, dtype=float)
     if azimuth.ndim != 1 or azimuth.shape != elevation.shape or azimuth.size < 1:
         raise ValueError("need equal-length, nonempty 1-D azimuth and elevation arrays")
-    u = _propagation(azimuth, elevation)
-    if geometry._stack is None:
-        return _phasors(geometry.positions, u)
-    groups, horizontal_row, height_row = geometry._stack
-    phasors = _phasors(groups, u)
-    return phasors[horizontal_row] * phasors[height_row]
+    return _element_steering(geometry, _row_phasors(geometry, azimuth, elevation))
 
 
 def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> np.ndarray:

@@ -187,7 +187,7 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
             phi = _sweep_phi(geometry, spec, method, rate, row["channels"], seed)
         except ValueError as exc:
             return {**row, "scf_error": math.nan, "status": f"error: {exc}"}
-        return {**row, "scf_error": _gap_terms(grid_gram, phi)[1], "status": "ok"}
+        return {**row, "scf_error": _gap_terms(grid_gram, phi.gramian())[1], "status": "ok"}
 
     rows = _run_jobs(job_list, worker, jobs)
 
@@ -291,6 +291,11 @@ def _columns(header, rows) -> list:
 
 def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
     """Emit the map as CSV cells plus a JSON sidecar with scenario metadata and the map's statistics."""
+    return _write_map(map_, csv_path, metadata, map_.log10_statistics())
+
+
+def _write_map(map_: CrbMap, csv_path, metadata, statistics: dict):
+    """``write_crb_map`` with the map's ``log10_statistics`` given."""
     cells = (map_.values.ravel().tolist(), map_.status.ravel().tolist())
     csv_path = atomic_write_csv(csv_path, _MAP_HEADER, [*_grid_columns(map_.grid), *cells])
     sidecar = {
@@ -298,7 +303,7 @@ def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
         "separation": map_.separation,
         "noise_variance": map_.noise_variance,
         "grid": map_.grid.to_dict(),
-        "statistics": map_.log10_statistics(),
+        "statistics": statistics,
         **(metadata or {}),
     }
     return csv_path, atomic_write_json(csv_path.with_suffix(".json"), sidecar)
@@ -323,14 +328,16 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
 def write_crb_report(report: ExperimentReport, outdir) -> list:
     """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance.
 
-    Every map goes through ``write_crb_map``, so each sidecar holds the
-    map's own ``log10_statistics``; for a report of ``run_crb_experiment``
-    these equal the map's summary row.
+    Each map's files are those of ``write_crb_map``, except that the
+    sidecar's statistics are taken from the map's summary row (every key
+    but "method" and "kind") instead of being computed again.
     """
     outdir = Path(outdir)
     written = []
-    for name, kind, map_ in report.maps or []:
-        written.extend(write_crb_map(map_, outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv", {"method": name}))
+    for (name, kind, map_), row in zip(report.maps or [], report.rows):
+        statistics = {key: value for key, value in row.items() if key not in ("method", "kind")}
+        path = outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv"
+        written.extend(_write_map(map_, path, {"method": name}, statistics))
     header = list(report.rows[0])
     written.append(atomic_write_csv(outdir / "crb_summary.csv", header, _columns(header, report.rows)))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))

@@ -26,6 +26,19 @@ __all__ = [
 ]
 
 
+def _require_finite(entries: np.ndarray) -> None:
+    if not np.isfinite(entries).all():
+        raise ValueError("combining weights must be finite")
+
+
+def _unit_columns(entries: np.ndarray) -> np.ndarray:
+    """``entries`` with every column divided by its Euclidean norm."""
+    norms = np.linalg.norm(entries, axis=0)
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise ValueError("cannot normalize a matrix with a zero column or a column norm that overflows")
+    return entries / norms
+
+
 class CombiningMatrix:
     """M x N complex analog combining weights (M channels, N elements)."""
 
@@ -36,8 +49,7 @@ class CombiningMatrix:
         m, n = mat.shape
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= channels <= elements, got shape {m} x {n}")
-        if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
-            raise ValueError("combining weights must be finite")
+        _require_finite(mat)
         mat.setflags(write=False)
         self.entries = mat
 
@@ -63,10 +75,7 @@ class CombiningMatrix:
 
     def normalize(self) -> "CombiningMatrix":
         """Return a copy whose columns have unit Euclidean norm."""
-        norms = self.column_norms()
-        if not np.all((norms > 0.0) & (norms < np.inf)):
-            raise ValueError("cannot normalize a matrix with a zero column or a column norm that overflows")
-        return CombiningMatrix(self.entries / norms)
+        return CombiningMatrix(_unit_columns(self.entries))
 
     def to_dict(self) -> dict:
         return {
@@ -181,25 +190,22 @@ def _steering_gram(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     return a @ a.conj().T
 
 
-def _gap_terms(p: np.ndarray, phi: CombiningMatrix):
-    """P (G - I) and tr(P (G - I) P (G - I)) for a steering Gram matrix P.
+def _gap_terms(p: np.ndarray, g: np.ndarray):
+    """P (G - I) and tr(P (G - I) P (G - I)) for a steering Gram matrix P and a Gramian G.
 
-    G is the Gramian of ``phi``.  The trace equals ||A^H (G - I) A||_F^2,
-    the summed squared discrepancy over all ordered pairs of P's angles,
-    without forming that L x L matrix.
+    The trace equals ||A^H (G - I) A||_F^2, the summed squared discrepancy
+    over all ordered pairs of P's angles, without forming that L x L
+    matrix.  Grid error, batch cost, the sweep and the design loop all
+    take their cost (and the design loop its gradient) from here.
     """
-    p_gap = p @ (phi.gramian() - np.eye(phi.cols))
+    p_gap = p @ (g - np.eye(len(g)))
     return p_gap, float(np.vdot(p_gap.conj().T, p_gap).real)
 
 
-def _gram_terms(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevation):
-    """P, P (G - I) and the trace of ``_gap_terms`` over the given angles.
-
-    Steering is evaluated once.
-    """
+def _scf_trace(geometry: ArrayGeometry, phi: CombiningMatrix, azimuth, elevation) -> float:
+    """The trace of ``_gap_terms`` over the given angles, from one steering evaluation."""
     _require_compatible(geometry, phi)
-    p = _steering_gram(geometry, azimuth, elevation)
-    return (p, *_gap_terms(p, phi))
+    return _gap_terms(_steering_gram(geometry, azimuth, elevation), phi.gramian())[1]
 
 
 def error_matrix(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -> np.ndarray:
@@ -222,7 +228,7 @@ def batch_cost(
         raise ValueError("need at least one angle batch")
     total = 0.0
     for batch in batches:
-        total += _gram_terms(geometry, phi, batch.azimuth, batch.elevation)[2] / batch.size**2
+        total += _scf_trace(geometry, phi, batch.azimuth, batch.elevation) / batch.size**2
     return total / len(batches)
 
 
@@ -234,4 +240,4 @@ def grid_scf_error(geometry: ArrayGeometry, phi: CombiningMatrix, grid: ScfGrid)
     ``run_scf_sweep`` builds Q once and scores every job's matrix with
     ``_gap_terms``.
     """
-    return _gram_terms(geometry, phi, *grid.angles())[2]
+    return _scf_trace(geometry, phi, *grid.angles())

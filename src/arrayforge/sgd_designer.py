@@ -3,6 +3,10 @@
 Each iteration draws a fresh batch of directions, takes a heavy-ball step
 against the analytic batch gradient, and renormalizes the matrix columns
 to unit length.  Runs are fully determined by the configured seed.
+
+``step`` and ``design`` share one kernel on plain arrays.  It draws and
+steers the batches of a block of iterations together and builds no object
+per iteration, so design jobs on threads hold the GIL for little of their time.
 """
 
 from __future__ import annotations
@@ -12,9 +16,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry
+from .array_model import ArrayGeometry, _steering_rows, steering_angles
 from .fileio import _json_value, _require_keys
-from .scf_objective import AngleBatch, CombiningMatrix, _gram_terms
+from .scf_objective import (
+    AngleBatch,
+    CombiningMatrix,
+    _gap_terms,
+    _require_compatible,
+    _require_finite,
+    _unit_columns,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -27,6 +38,13 @@ __all__ = [
     "design",
     "random_gaussian_phi",
 ]
+
+
+# Iterations whose batches are drawn and steered together.  One steering
+# call per block leaves less GIL-held work per iteration.  A block holds
+# its batches' group phasors, 4 (U_h + U_z) L complex numbers (224 KB at
+# paper scale); each batch's N x L steering matrix is formed when reached.
+_BLOCK_ITERATIONS = 4
 
 
 def _check_range(name: str, bounds) -> None:
@@ -148,14 +166,15 @@ class DesignTrace:
         return trace
 
 
-def _cost_and_gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch):
-    """One batch's cost and its gradient, from one steering evaluation.
+def _batch_terms(entries: np.ndarray, a: np.ndarray):
+    """Cost and gradient of one batch, given its N x L steering matrix ``a``.
 
     Both are divided by L^2, so the cost is ``batch_cost`` on that batch.
     """
-    p, p_gap, trace = _gram_terms(geometry, phi, batch.azimuth, batch.elevation)
-    scale = batch.size**2
-    return trace / scale, 4.0 * (phi.entries @ (p_gap @ p)) / scale
+    p = a @ a.conj().T
+    p_gap, trace = _gap_terms(p, entries.conj().T @ entries)
+    scale = a.shape[1] ** 2
+    return trace / scale, 4.0 * (entries @ (p_gap @ p)) / scale
 
 
 def gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -> np.ndarray:
@@ -165,7 +184,19 @@ def gradient(geometry: ArrayGeometry, phi: CombiningMatrix, batch: AngleBatch) -
     the (real) cost, i.e. grad = 4 Phi P (G - I) P / L^2 with P = A A^H the
     batch steering outer product and G the Gramian of Phi.
     """
-    return _cost_and_gradient(geometry, phi, batch)[1]
+    _require_compatible(geometry, phi)
+    return _batch_terms(phi.entries, steering_angles(geometry, batch.azimuth, batch.elevation))[1]
+
+
+def _sample_angles(config: OptimizerConfig, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` batches of directions as a (count, 2, L) array of (azimuths, elevations).
+
+    The law of ``sample_batch``: batch after batch, all L azimuths and then
+    all L elevations, each uniform on its configured range.
+    """
+    low = [[config.azimuth_range[0]], [config.elevation_range[0]]]
+    high = [[config.azimuth_range[1]], [config.elevation_range[1]]]
+    return rng.uniform(low, high, (count, 2, config.batch_size))
 
 
 def sample_batch(config: OptimizerConfig, rng: np.random.Generator) -> AngleBatch:
@@ -174,11 +205,7 @@ def sample_batch(config: OptimizerConfig, rng: np.random.Generator) -> AngleBatc
     Consumes the generator deterministically: all azimuths first, then all
     elevations.
     """
-    azimuth = rng.uniform(config.azimuth_range[0], config.azimuth_range[1], config.batch_size)
-    elevation = rng.uniform(
-        config.elevation_range[0], config.elevation_range[1], config.batch_size
-    )
-    return AngleBatch(azimuth, elevation)
+    return AngleBatch(*_sample_angles(config, rng, 1)[0])
 
 
 def random_gaussian_phi(channels: int, elements: int, seed) -> CombiningMatrix:
@@ -199,6 +226,28 @@ def initial_state(geometry: ArrayGeometry, channels: int, config: OptimizerConfi
     return OptimizerState(phi, np.zeros_like(phi.entries), 0, rng)
 
 
+def _descend(
+    geometry: ArrayGeometry, phi: CombiningMatrix, velocity: np.ndarray, config: OptimizerConfig, blocks
+):
+    """Heavy-ball iterations from ``phi`` and ``velocity`` on arrays; the kernel of ``step`` and ``design``.
+
+    ``blocks`` yields (n, 2, L) angle arrays from ``_sample_angles``, each
+    steered with one call and giving n iterations.  Returns the final
+    weights, the velocity and each iteration's cost before its update.
+    """
+    _require_compatible(geometry, phi)
+    entries, costs = phi.entries, []
+    for angles in blocks:
+        for a in _steering_rows(geometry, angles[:, 0], angles[:, 1]):
+            cost, grad = _batch_terms(entries, a)
+            costs.append(cost)
+            velocity = config.drag * velocity - config.step_size * grad
+            moved = entries + velocity
+            _require_finite(moved)
+            entries = _unit_columns(moved)
+    return entries, velocity, costs
+
+
 def step(
     geometry: ArrayGeometry,
     state: OptimizerState,
@@ -216,24 +265,27 @@ def step(
     if state.iteration >= config.iterations:
         raise ValueError("optimizer state is already finished")
     if batch is None:
-        batch = sample_batch(config, state.rng)
-    cost, grad = _cost_and_gradient(geometry, state.phi, batch)
-    velocity = config.drag * state.velocity - config.step_size * grad
-    phi = CombiningMatrix(state.phi.entries + velocity).normalize()
-    return OptimizerState(phi, velocity, state.iteration + 1, state.rng, cost)
+        angles = _sample_angles(config, state.rng, 1)
+    else:
+        angles = np.stack([batch.azimuth, batch.elevation])[np.newaxis]
+    entries, velocity, (cost,) = _descend(geometry, state.phi, state.velocity, config, [angles])
+    return OptimizerState(CombiningMatrix(entries), velocity, state.iteration + 1, state.rng, cost)
 
 
 def design(geometry: ArrayGeometry, channels: int, config: OptimizerConfig) -> DesignTrace:
     """Run the full seeded design loop and return its trace.
 
-    Each iteration is one ``step``; its ``cost`` is recorded every
-    ``record_every`` iterations.  The returned matrix is column-normalized:
-    the start is, and so is every step's result.
+    The result equals ``config.iterations`` calls of ``step`` bit for bit,
+    and the cost of every ``record_every``-th iteration is recorded.  The
+    loop runs on arrays and builds the ``CombiningMatrix`` once, at the
+    end; the returned matrix is column-normalized.
     """
     state = initial_state(geometry, channels, config)
-    costs = []
-    for i in range(config.iterations):
-        state = step(geometry, state, config)
-        if i % config.record_every == 0:
-            costs.append((i, state.cost))
-    return DesignTrace(costs=costs, final_phi=state.phi, config=config)
+    blocks = (
+        _sample_angles(config, state.rng, min(_BLOCK_ITERATIONS, config.iterations - start))
+        for start in range(0, config.iterations, _BLOCK_ITERATIONS)
+    )
+    entries, _, costs = _descend(geometry, state.phi, state.velocity, config, blocks)
+    every = config.record_every
+    recorded = list(zip(range(0, config.iterations, every), costs[::every]))
+    return DesignTrace(costs=recorded, final_phi=CombiningMatrix(entries), config=config)

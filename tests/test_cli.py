@@ -448,6 +448,14 @@ class TestDesignCommand:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_design_step_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["design", "--channels", "13", "--iters", "50", "--alpha", "1e308", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: combining weights must be finite\n"
+        assert not out.exists()
+
     def test_geometry_file_designs_like_suca_flags(self, tmp_path):
         geometry_file = tmp_path / "geometry.json"
         save_geometry(make_suca(1, 4, 0.5, 0.3), geometry_file)

@@ -25,6 +25,7 @@ from arrayforge import (
     write_crb_report,
     write_sweep_report,
 )
+from arrayforge.crb_eval import CrbMap
 from oracles import random_unitary
 
 
@@ -133,6 +134,15 @@ class TestScfSweep:
         gaussian, sgd = rows
         assert gaussian["status"] == "ok"
         assert sgd["status"].startswith("error: cannot normalize") and math.isnan(sgd["scf_error"])
+
+    def test_design_gone_infinite_is_an_error_row(self, small_geometry):
+        optimizer = OptimizerConfig(iterations=5, batch_size=6, step_size=1e308, seed=0)
+        spec = small_spec(compression_rates=(0.5,), seeds_per_point=1, optimizer=optimizer)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rows = run_scf_sweep(small_geometry, spec).rows
+        gaussian, sgd = rows
+        assert gaussian["status"] == "ok"
+        assert sgd["status"] == "error: combining weights must be finite" and math.isnan(sgd["scf_error"])
 
     def test_aggregates_are_quartiles_of_ok_rows(self, small_geometry):
         spec = small_spec(seeds_per_point=3, methods=("gaussian",), compression_rates=(0.5,))
@@ -343,6 +353,27 @@ class TestCrbExperiment:
             # the sidecar statistics, the map's own, equal its summary row
             statistics = json.loads(in_report[1].read_text())["statistics"]
             assert statistics == json.loads(json.dumps({k: v for k, v in row.items() if k not in ("method", "kind")}))
+
+    def test_report_computes_each_map_statistics_once(self, small_geometry, tmp_path, monkeypatch):
+        calls = []
+        real = CrbMap.log10_statistics
+
+        def counting(map_):
+            calls.append(map_)
+            return real(map_)
+
+        monkeypatch.setattr(CrbMap, "log10_statistics", counting)
+        grid = ScfGrid(4, 3, (-1.0, 1.0), (0.0, math.pi))
+        phi = CombiningMatrix(random_unitary(6, np.random.default_rng(3))[:3])
+        report = run_crb_experiment(small_geometry, {"gaussian": phi}, grid)
+        written = write_crb_report(report, tmp_path / "report")
+        assert len(calls) == len(report.maps) == 6
+        for i, ((name, kind, map_), row) in enumerate(zip(report.maps, report.rows)):
+            in_report = written[2 * i : 2 * i + 2]
+            statistics = json.loads(in_report[1].read_text())["statistics"]
+            assert statistics == json.loads(json.dumps({k: v for k, v in row.items() if k not in ("method", "kind")}))
+            alone = write_crb_map(map_, tmp_path / "alone" / in_report[0].name, {"method": name})
+            assert [path.read_bytes() for path in alone] == [path.read_bytes() for path in in_report]
 
     def test_maps_on_alternating_grids_keep_their_coordinates(self, small_geometry, tmp_path):
         grids = [ScfGrid(3, 3, (0.0, 1.0), (1.0, 2.0)), ScfGrid(4, 2, (-2.0, 2.0), (0.5, 2.5))]

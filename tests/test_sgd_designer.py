@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arrayforge.array_model
+import arrayforge.sgd_designer
 from arrayforge import (
     ArrayGeometry,
     CombiningMatrix,
@@ -34,6 +35,8 @@ from oracles import (
     random_unitary,
 )
 from strategies import geometries, scf_instances, seeds
+
+BLOCK = arrayforge.sgd_designer._BLOCK_ITERATIONS
 
 
 class TestOptimizerConfig:
@@ -268,14 +271,35 @@ class TestDesign:
         assert t1.costs == t2.costs
         assert np.array_equal(t1.final_phi.entries, t2.final_phi.entries)
 
-    def test_matches_explicit_step_loop(self):
-        geom = make_suca(2, 4, 0.5, 0.3)
-        config = OptimizerConfig(iterations=6, batch_size=3, seed=13)
+    @pytest.mark.parametrize("batch_size", [1, 250])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("iterations", sorted({0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3}))
+    @pytest.mark.parametrize("grouped", [True, False], ids=["suca", "random"])
+    def test_matches_explicit_step_loop(self, grouped, iterations, record_every, batch_size):
+        # design steers a block of batches per call, step one batch per call
+        if grouped:
+            geom = make_suca(3, 11, 0.5, 0.68)
+        else:
+            geom = ArrayGeometry(np.random.default_rng(8).uniform(-1.0, 1.0, (7, 3)))
+        assert (geom._stack is not None) == grouped
+        config = OptimizerConfig(iterations=iterations, batch_size=batch_size, seed=13, record_every=record_every)
         trace = design(geom, 3, config)
         state = initial_state(geom, 3, config)
+        costs = []
         while state.iteration < config.iterations:
             state = step(geom, state, config)
+            costs.append((state.iteration - 1, state.cost))
+        assert trace.costs == costs[::record_every]
         assert np.array_equal(trace.final_phi.entries, state.phi.entries)
+
+    @pytest.mark.parametrize(
+        "step_size, message",
+        [(1e308, "combining weights must be finite"), (1e200, "column norm that overflows")],
+    )
+    def test_design_gone_non_finite_names_the_failure(self, suca33, step_size, message):
+        config = OptimizerConfig(iterations=50, batch_size=250, step_size=step_size, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match=message):
+            design(suca33, 13, config)
 
     def test_rejects_too_many_channels(self, suca33):
         with pytest.raises(ValueError):
@@ -336,19 +360,32 @@ class TestHotPaths:
 
     def test_design_evaluates_steering_once_per_iteration(self, monkeypatch):
         # every steering evaluation, whatever its entry point, computes the
-        # propagation vectors once
-        calls = []
+        # propagation vectors once, for one batch or for a block of batches
+        angles, built = [], []
         real = arrayforge.array_model._propagation
+        real_init = CombiningMatrix.__init__
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(azimuth, elevation):
+            angles.append(np.size(azimuth))
+            return real(azimuth, elevation)
+
+        def counting_init(self, entries):
+            built.append(entries)
+            real_init(self, entries)
 
         monkeypatch.setattr(arrayforge.array_model, "_propagation", counting)
-        config = OptimizerConfig(iterations=7, batch_size=4, seed=3, record_every=1)
-        trace = design(make_suca(1, 5, 0.5, 0.4), 2, config)
-        assert len(trace.costs) == 7
-        assert len(calls) == 7
+        monkeypatch.setattr(CombiningMatrix, "__init__", counting_init)
+        matrices = set()
+        for iterations in (0, 7, 8):
+            angles.clear()
+            built.clear()
+            config = OptimizerConfig(iterations=iterations, batch_size=4, seed=3, record_every=1)
+            trace = design(make_suca(1, 5, 0.5, 0.4), 2, config)
+            assert len(trace.costs) == iterations
+            assert sum(angles) == iterations * config.batch_size
+            matrices.add(len(built))
+        # the loop builds no matrix per iteration
+        assert len(matrices) == 1
 
     def test_crb_map_evaluates_steering_once_per_source_angle(self, suca33, monkeypatch):
         angles = []
