@@ -180,25 +180,27 @@ def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> 
     )
 
 
-def _phase_derivatives(geometry: ArrayGeometry, az: np.ndarray, el: np.ndarray) -> tuple:
-    """Real N x L phase derivatives 2 pi <p, du/d azimuth> and 2 pi <p, du/d elevation>.
+def _steering_columns(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
+    """N x 3 x L complex [A; dA/daz / j; dA/del / j] at L (azimuth, elevation) pairs.
 
-    d A / d angle is j times the angle's phase derivative times A.
+    d A / d angle is j times the real phase derivative 2 pi <p, du/d angle>
+    times A, so A is evaluated once and each derivative row scales it.
     """
+    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
+    a = steering_angles(geometry, az, el)
     du_daz = np.stack([-np.sin(az) * np.sin(el), np.cos(az) * np.sin(el), np.zeros_like(az)])
     du_del = np.stack([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), -np.sin(el)])
-    return _TWO_PI * (geometry.positions @ du_daz), _TWO_PI * (geometry.positions @ du_del)
+    phase_az, phase_el = (_TWO_PI * (geometry.positions @ du) for du in (du_daz, du_del))
+    return np.stack([a, phase_az * a, phase_el * a], axis=1)
 
 
 def steering_derivative_angles(geometry: ArrayGeometry, azimuth, elevation):
     """``steering_angles`` A and its (d A / d azimuth, d A / d elevation), each N x L.
 
-    A is evaluated once; each derivative scales it by its phase derivative.
+    All three are rows of one ``_steering_columns`` evaluation.
     """
-    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
-    a = steering_angles(geometry, az, el)
-    phase_az, phase_el = _phase_derivatives(geometry, az, el)
-    return a, 1j * phase_az * a, 1j * phase_el * a
+    columns = _steering_columns(geometry, azimuth, elevation)
+    return columns[:, 0], 1j * columns[:, 1], 1j * columns[:, 2]
 
 
 def steering_derivative(geometry: ArrayGeometry, direction: Direction):

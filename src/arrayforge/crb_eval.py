@@ -13,10 +13,13 @@ sigma^2 at the compressed outputs.
 
 One routine, ``_crb_cells``, scores compressed source columns: it reads
 G^H G, D^H G and D^H D out of one 3S x 3S Gram per cell, and leaves out the
-factor j common to both derivatives, which cancels in F.  ``crb`` gives it
-one scenario.  ``_crb_maps`` gives it every (design, map kind) of a grid in
-one pass over blocks of ``_BLOCK_CELLS`` grid cells.  Per block, the pass
-evaluates the steering columns [A | dA/daz | dA/del] once for each source
+factor j common to both derivatives, which cancels in F.  The columns
+[A | dA/daz / j | dA/del / j] come from ``array_model._steering_columns``,
+the routine behind ``steering_derivative_angles`` too.  ``crb`` gives
+``_crb_cells`` one scenario.  ``_crb_maps`` gives it every (design, map
+kind) of a grid in one pass over blocks of ``_BLOCK_CELLS`` grid cells.
+Both check each design against the geometry once, before any steering.
+Per block, the pass evaluates the steering columns once for each source
 that the kinds need (the grid point, its azimuth-shifted partner and its
 present elevation-shifted partner), compresses them once per design and
 scores every kind from those columns.  ``crb_map`` is the pass for one
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayGeometry, _phase_derivatives, steering_angles
+from .array_model import ArrayGeometry, _steering_columns
 from .scf_objective import CombiningMatrix, ScfGrid, _require_compatible
 
 __all__ = [
@@ -120,25 +123,10 @@ def _condition(eig: np.ndarray) -> np.ndarray:
     return np.divide(eig[:, -1], eig[:, 0], out=np.full(len(eig), math.inf), where=eig[:, 0] > 0.0)
 
 
-def _steering_columns(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
-    """N x 3 x L complex [A; dA/daz; dA/del] at L source angles.
-
-    The derivatives omit their common factor j: it multiplies D^H D by
-    |j|^2 = 1 and D^H G (G^H G)^{-1} G^H D by j^* j = 1, so F is unchanged.
-    """
-    a = steering_angles(geometry, azimuth, elevation)
-    columns = np.empty((geometry.element_count, 3, a.shape[1]), dtype=complex)
-    columns[:, 0] = a
-    for row, phase in enumerate(_phase_derivatives(geometry, azimuth, elevation), start=1):
-        columns[:, row] = phase * a
-    return columns
-
-
-def _compress(geometry: ArrayGeometry, phi: CombiningMatrix | None, columns: np.ndarray) -> np.ndarray:
+def _compress(phi: CombiningMatrix | None, columns: np.ndarray) -> np.ndarray:
     """N x ... ``columns`` through ``phi`` with one product; ``phi=None`` is the uncompressed array."""
     if phi is None:
         return columns
-    _require_compatible(geometry, phi)
     return (phi.entries @ columns.reshape(len(columns), -1)).reshape(phi.rows, *columns.shape[1:])
 
 
@@ -173,8 +161,10 @@ def _crb_cells(cells: np.ndarray, amplitudes, noise_variance):
 
 def crb(geometry: ArrayGeometry, scenario: CrbScenario) -> CrbResult:
     """Trace of the deterministic single-snapshot bound for the scenario: a batch of one."""
+    if scenario.phi is not None:
+        _require_compatible(geometry, scenario.phi)
     angles = np.array([(d.azimuth, d.elevation) for d in scenario.sources], dtype=float)
-    columns = _compress(geometry, scenario.phi, _steering_columns(geometry, angles[:, 0], angles[:, 1]))
+    columns = _compress(scenario.phi, _steering_columns(geometry, angles[:, 0], angles[:, 1]))
     values, condition, rank_deficient, unidentifiable = _crb_cells(
         columns.reshape(1, len(columns), -1), scenario.amplitudes, scenario.noise_variance
     )
@@ -283,6 +273,9 @@ def _crb_maps(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, n
     if set(kinds) - {"single"} and not (separation is not None and 0.0 < separation < math.inf):
         raise ValueError("pair scenarios need a positive, finite separation")
     _check_noise_variance(noise_variance)
+    for phi in phis:
+        if phi is not None:
+            _require_compatible(geometry, phi)
     azimuth, elevation = grid.angles()
     everywhere = np.ones(azimuth.shape, dtype=bool)
     # Source 0 is the grid point; each pair kind appends its partner.
@@ -310,7 +303,7 @@ def _crb_maps(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, n
         angles = [np.concatenate([side[block][at] for side, at in zip(sides, evaluated)]) for sides in zip(*sources)]
         columns = _steering_columns(geometry, *angles)
         for d, phi in enumerate(phis):
-            compressed = _compress(geometry, phi, columns)
+            compressed = _compress(phi, columns)
             for q, (used, present) in enumerate(uses):
                 rows = np.flatnonzero(present[block])
                 # Each cell's G, D_az and D_el columns, one per source: K x M x 3S.

@@ -33,7 +33,9 @@ def _require_finite(entries: np.ndarray) -> None:
 
 def _unit_columns(entries: np.ndarray) -> np.ndarray:
     """``entries`` with every column divided by its Euclidean norm."""
-    norms = np.linalg.norm(entries, axis=0)
+    # A norm that overflows is the error raised below, not a warning.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(entries, axis=0)
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise ValueError("cannot normalize a matrix with a zero column or a column norm that overflows")
     return entries / norms

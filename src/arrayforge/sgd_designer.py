@@ -237,14 +237,16 @@ def _descend(
     """
     _require_compatible(geometry, phi)
     entries, costs = phi.entries, []
-    for angles in blocks:
-        for a in _steering_rows(geometry, angles[:, 0], angles[:, 1]):
-            cost, grad = _batch_terms(entries, a)
-            costs.append(cost)
-            velocity = config.drag * velocity - config.step_size * grad
-            moved = entries + velocity
-            _require_finite(moved)
-            entries = _unit_columns(moved)
+    # A diverging run overflows on its way to inf; _require_finite and _unit_columns report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for angles in blocks:
+            for a in _steering_rows(geometry, angles[:, 0], angles[:, 1]):
+                cost, grad = _batch_terms(entries, a)
+                costs.append(cost)
+                velocity = config.drag * velocity - config.step_size * grad
+                moved = entries + velocity
+                _require_finite(moved)
+                entries = _unit_columns(moved)
     return entries, velocity, costs
 
 

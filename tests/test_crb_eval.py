@@ -387,6 +387,33 @@ class TestCrbMap:
             assert (stats["cells_total"], stats["cells_ok"], stats["cells_absent"]) == (35, 0, 35)
             assert stats["cells_rank_deficient"] == stats["cells_unidentifiable"] == 0
 
+    @pytest.mark.parametrize("sep", [math.pi, 4.0])
+    def test_mismatched_design_raises_without_a_present_cell(self, suca33, sep):
+        # No elevation-pair cell is present, so no block runs; the design is still checked against the array.
+        grid = ScfGrid(7, 5, (-1.0, 1.0), (0.0, math.pi))
+        wrong = random_gaussian_phi(5, 20, 1)
+        message = "combining matrix has 20 columns but the array has 33 elements"
+        with pytest.raises(ValueError, match=message):
+            crb_map(suca33, wrong, grid, "elevation-pair", sep)
+        with pytest.raises(ValueError, match=message):
+            run_crb_experiment(suca33, {"wrong": wrong}, grid, separation=sep)
+        with pytest.raises(ValueError, match=message):
+            crb(suca33, CrbScenario((Direction(0.3, 1.2),), np.ones(1), 1.0, wrong))
+
+    def test_each_design_is_checked_once_per_pass(self, suca33, monkeypatch):
+        monkeypatch.setattr(crb_eval, "_BLOCK_CELLS", 7)
+        real, checked = crb_eval._require_compatible, []
+
+        def counting(geometry, phi):
+            checked.append(phi)
+            real(geometry, phi)
+
+        monkeypatch.setattr(crb_eval, "_require_compatible", counting)
+        unitary = CombiningMatrix(random_unitary(33, np.random.default_rng(3)))
+        phis = {"gaussian": random_gaussian_phi(13, 33, 2), "unitary": unitary}
+        run_crb_experiment(suca33, phis, ScfGrid(7, 5, (-1.0, 1.0), (0.5, 2.5)), separation=0.4)
+        assert checked == [phis["gaussian"], phis["unitary"]]
+
     def test_compressed_map_runs(self, suca33):
         phi = random_gaussian_phi(13, 33, 9)
         grid = ScfGrid(4, 3, (-1.0, 1.0), (1.0, 2.0))
