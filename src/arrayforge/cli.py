@@ -19,7 +19,8 @@ control was found and the run went ahead unpinned).
 Exit status: 0 on success, 2 for validation failures (unknown flags,
 malformed or out-of-range values, missing or malformed input files, the
 message naming the file, an ``--out`` that names an existing path of the
-wrong kind or lies under a non-directory), 1 for runtime failures.
+wrong kind or lies under a non-directory, a file ``--out`` that ends in a
+path separator), 1 for runtime failures.
 """
 
 from __future__ import annotations
@@ -273,13 +274,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(kind: str, path_text: str, reader: Callable):
-    """``reader(path)`` of one input file; a missing file or a reader's OSError or ValueError is a CliError."""
+    """``reader(path)`` of one input file; a missing file or a reader's OSError or ValueError is a CliError.
+
+    So is the RecursionError that json raises on a document nested too deeply.
+    """
     path = Path(path_text)
     if not path.is_file():
         raise CliError(f"{kind} file not found: {path}")
     try:
         return reader(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"could not read {kind} {path}: {exc}") from None
 
 
@@ -365,6 +369,9 @@ def _out_path(command: str, text: str) -> Path:
     """``--out`` as a path, unless it (or evaluate-scf's sidecar) cannot become the file or directory written."""
     out = Path(text)
     kinds, directory = ("file", "directory"), command in _DIRECTORY_OUT
+    # Path() drops a trailing separator, which would turn "newdir/" into the file newdir.
+    if not directory and text[-1:] in (os.sep, os.altsep):
+        raise CliError(f"--out must name a file for {command}, but {text} ends in a path separator")
     for path in (out, _scf_sidecar(out)) if command == "evaluate-scf" else (out,):
         if os.path.exists(path) and os.path.isdir(path) != directory:
             kind, other = kinds[directory], kinds[not directory]

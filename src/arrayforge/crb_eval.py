@@ -21,12 +21,13 @@ kind) of a grid in one pass over blocks of ``_BLOCK_CELLS`` grid cells.
 Both check each design against the geometry once, before any steering.
 Per block, the pass evaluates the steering columns once for each source
 that the kinds need (the grid point, its azimuth-shifted partner and its
-present elevation-shifted partner), compresses them once per design and
-scores every kind from those columns.  ``crb_map`` is the pass for one
-design and one kind; ``harness.run_crb_experiment`` runs one pass for all
-designs and kinds through ``_shared_pass``.  A block's working set does not
-grow with the grid or the number of designs: its steering columns take
-1.2 MB at N = 33 with all three sources.
+elevation-shifted partner) at every cell of the block, compresses them once
+per design and scores each kind at the cells where it is present.
+``crb_map`` is the pass for one design and one kind;
+``harness.run_crb_experiment`` runs one pass for all designs and kinds
+through ``_shared_pass``.  A block's working set does not grow with the
+grid or the number of designs: its steering columns take 1.2 MB at N = 33
+with all three sources.
 This module only computes: ``harness.write_crb_map`` names and writes map files.
 """
 
@@ -262,10 +263,11 @@ def _crb_maps(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, n
     """The ``crb_map`` of every design in ``phis`` and kind in ``kinds``: one list of maps per design.
 
     One pass over blocks of ``_BLOCK_CELLS`` grid cells evaluates each
-    source direction once, for every design and kind: each kind's sources
-    are the grid point and its partner, and a source is evaluated at the
-    cells where a kind that uses it is present.  The blocks hold the cells
-    where any kind is present.
+    source direction once, for every design and kind.  The sources are the
+    grid point and each pair kind's partner, and each is evaluated at every
+    cell of the block, in one sources x cells stack; each kind then scores
+    the cells where it is present.  The blocks hold the cells where any
+    kind is present.
     """
     for kind in kinds:
         if kind not in _MAP_KINDS:
@@ -277,37 +279,31 @@ def _crb_maps(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, n
         if phi is not None:
             _require_compatible(geometry, phi)
     azimuth, elevation = grid.angles()
-    everywhere = np.ones(azimuth.shape, dtype=bool)
     # Source 0 is the grid point; each pair kind appends its partner.
     sources, uses = [(azimuth, elevation)], []
     for kind in kinds:
-        present = everywhere
+        present = np.ones(azimuth.shape, dtype=bool)
         if kind == "azimuth-pair":
             sources.append(((azimuth + separation) % (2.0 * math.pi), elevation))
         elif kind == "elevation-pair":
             sources.append((azimuth, elevation + separation))
             present = (0.0 < elevation + separation) & (elevation + separation < math.pi)
         uses.append(((0,) if kind == "single" else (0, len(sources) - 1), present))
-    needed = [np.any([present for used, present in uses if j in used], axis=0) for j in range(len(sources))]
 
     values = np.full((len(phis), len(kinds), azimuth.size), math.nan)
     code = np.full(values.shape, _STATUSES.index("absent"))
-    # Every kind uses the grid point, so it is evaluated wherever any kind is present.
-    index = np.flatnonzero(needed[0])
+    index = np.flatnonzero(np.any([present for _, present in uses], axis=0))
     for start in range(0, len(index), _BLOCK_CELLS):
         block = index[start : start + _BLOCK_CELLS]
-        evaluated = np.array([mask[block] for mask in needed])
-        # column[j, r] is source j's steering column at block row r, where evaluated[j, r].
-        column = np.cumsum(evaluated, axis=1) - 1
-        column += np.cumsum([0, *evaluated.sum(axis=1)[:-1]])[:, None]
-        angles = [np.concatenate([side[block][at] for side, at in zip(sides, evaluated)]) for sides in zip(*sources)]
+        # Source j's steering column at block row r is column j * len(block) + r.
+        angles = [np.concatenate([side[block] for side in sides]) for sides in zip(*sources)]
         columns = _steering_columns(geometry, *angles)
         for d, phi in enumerate(phis):
             compressed = _compress(phi, columns)
             for q, (used, present) in enumerate(uses):
                 rows = np.flatnonzero(present[block])
                 # Each cell's G, D_az and D_el columns, one per source: K x M x 3S.
-                gathered = compressed[:, :, column[np.ix_(used, rows)].T]
+                gathered = compressed[:, :, (np.array(used)[:, None] * len(block) + rows).T]
                 gathered = gathered.transpose(2, 0, 1, 3).reshape(len(rows), len(compressed), 3 * len(used))
                 cells = block[rows]
                 values[d, q, cells], _, rank_deficient, unidentifiable = _crb_cells(

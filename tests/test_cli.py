@@ -146,6 +146,34 @@ class TestValidationErrors:
         assert str(out) in err and message in err
         assert a_file.read_text() == "x" and list(a_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["design", "evaluate-scf"])
+    def test_file_out_ending_in_a_separator_rejected(self, tmp_path, capsys, command):
+        # Path() dropped the separator, so "newdir/" used to be written as the file newdir, with exit 0
+        extra = required_options(command, tmp_path)
+        out = str(tmp_path / "newdir") + os.sep
+        assert main([command, *SMALL_GEOM, *extra, "--out", out]) == 2
+        assert f"--out must name a file for {command}, but {out} ends in a path separator" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()
+        assert not (tmp_path / "newdir_provenance.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--geometry", "--phi", "--external-phi"])
+    def test_deeply_nested_document_is_validation_error_naming_its_file(self, tmp_path, capsys, flag):
+        # json raises RecursionError on such a document, which used to escape as a traceback with exit 1
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        out = tmp_path / "out"
+        argv = {
+            "--config": ["design", "--channels", "2", "--config", str(deep)],
+            "--geometry": ["design", "--channels", "2", "--geometry", str(deep)],
+            "--phi": ["evaluate-scf", *SMALL_GEOM, "--phi", str(deep)],
+            "--external-phi": ["sweep", *SMALL_GEOM, "--methods", "external", "--rates", "0.5",
+                               "--external-phi", f"0.5={deep}"],
+        }[flag]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "could not read" in err and str(deep) in err
+        assert not out.exists()
+
     def test_evaluate_scf_sidecar_that_is_a_directory_rejected(self, tmp_path, capsys):
         # this used to score the matrix and write q.csv, then exit 1 with EISDIR, leaving no provenance
         extra = required_options("evaluate-scf", tmp_path)

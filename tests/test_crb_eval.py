@@ -334,8 +334,8 @@ class TestCrbMap:
 
     @pytest.mark.parametrize("block_cells", [crb_eval._BLOCK_CELLS, 7])
     def test_experiment_steers_each_source_once_for_all_designs(self, suca33, monkeypatch, block_cells):
-        # One pass serves every design and kind: the grid point and its
-        # azimuth partner at every cell, the elevation partner where present.
+        # One pass serves every design and kind: the grid point, its azimuth
+        # partner and its elevation partner, each at every cell of the grid.
         monkeypatch.setattr(crb_eval, "_BLOCK_CELLS", block_cells)
         angles = []
         real = array_model._propagation
@@ -347,14 +347,12 @@ class TestCrbMap:
         monkeypatch.setattr(array_model, "_propagation", counting)
         grid = ScfGrid(23, 13, (-math.pi, math.pi), (0.0, math.pi))
         sep = 2.0 * math.pi / 10.0
-        elevation = grid.angles()[1]
-        present = int(np.sum((0.0 < elevation + sep) & (elevation + sep < math.pi)))
         gaussian = random_gaussian_phi(13, 33, 4)
         unitary = CombiningMatrix(random_unitary(33, np.random.default_rng(5))[:20])
         for phis in ({"gaussian": gaussian}, {"gaussian": gaussian, "unitary": unitary}):
             angles.clear()
             report = run_crb_experiment(suca33, phis, grid, separation=sep)
-            assert sum(angles) == 2 * grid.point_count + present
+            assert sum(angles) == 3 * grid.point_count
         monkeypatch.setattr(array_model, "_propagation", real)
         designs = {"uncompressed": None, "gaussian": gaussian, "unitary": unitary}
         assert len(report.maps) == 3 * len(designs)
@@ -370,6 +368,27 @@ class TestCrbMap:
                 # The same bound as in test_cells_do_not_depend_on_block_boundaries.
                 tolerance = 1e-12 * max(1.0, condition)
                 assert abs(map_.values[i, j] - alone.values[i, j]) <= tolerance * alone.values[i, j]
+
+    @pytest.mark.parametrize("kinds", [["elevation-pair", "single"], ["elevation-pair", "azimuth-pair"]])
+    def test_pass_over_unsorted_kinds_matches_each_kind_alone(self, suca33, monkeypatch, kinds):
+        # The elevation partner is source 1 here, and with the azimuth pair the azimuth partner is source 2.
+        monkeypatch.setattr(crb_eval, "_BLOCK_CELLS", 7)
+        grid = ScfGrid(23, 13, (-math.pi, math.pi), (0.0, math.pi))
+        sep = 2.0 * math.pi / 10.0
+        phis = [random_gaussian_phi(13, 33, 4), None]
+        maps = crb_eval._crb_maps(suca33, phis, grid, kinds, sep, 1.0)
+        for phi, row in zip(phis, maps):
+            for kind, map_ in zip(kinds, row):
+                alone = crb_map(suca33, phi, grid, kind, None if kind == "single" else sep)
+                assert map_.kind == kind
+                assert np.array_equal(map_.status, alone.status)
+                assert np.array_equal(np.isnan(map_.values), map_.status != "ok")
+                for i, j in zip(*np.nonzero(map_.status == "ok")):
+                    sources = map_cell_sources(kind, grid.azimuths()[i], grid.elevations()[j], sep)
+                    condition = crb(suca33, CrbScenario(sources, np.ones(len(sources)), 1.0, phi)).fim_condition
+                    # The same bound as in test_cells_do_not_depend_on_block_boundaries.
+                    tolerance = 1e-12 * max(1.0, condition)
+                    assert abs(map_.values[i, j] - alone.values[i, j]) <= tolerance * alone.values[i, j]
 
     @pytest.mark.parametrize("sep", [math.pi, 4.0])
     def test_elevation_pair_past_the_pole_has_no_present_cell(self, suca33, sep):
