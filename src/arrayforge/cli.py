@@ -10,12 +10,6 @@ by ``fileio._json_value``), and every coerced value, defaults included, is
 echoed into the provenance block of the artifacts it produced, except
 ``--jobs``, which results do not depend on.
 
-``main`` pins numpy's OpenBLAS to one thread while a command runs and
-restores the previous count afterwards, so that the ``--jobs`` sweep
-workers are the only level of parallelism.  The count in effect is
-recorded in provenance as ``blas_threads`` (null when no OpenBLAS thread
-control was found and the run went ahead unpinned).
-
 Exit status: 0 on success, 2 for validation failures (unknown flags,
 malformed or out-of-range values, missing or malformed input files, the
 message naming the file, an ``--out`` that names an existing path of the
@@ -26,8 +20,6 @@ path separator), 1 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import math
 import os
 import sys
@@ -43,6 +35,7 @@ from .harness import (
     SWEEP_METHODS,
     SweepSpec,
     _check_labels,
+    _one_blas_thread,
     _provenance_head,
     _sweep_channels,
     run_crb_experiment,
@@ -130,8 +123,9 @@ class Option:
 
     ``bound`` is a ``(predicate, description)`` pair for single-option
     bounds; cross-field checks belong to the library objects built from
-    the options.  ``OptimizerConfig`` also checks the ``eta`` and ``seed``
-    bounds, but the CLI keeps them so that the message names the flag.
+    the options.  Those objects (``OptimizerConfig``, ``ScfGrid``,
+    ``SweepSpec``) check many single-option bounds too, but the CLI keeps
+    them so that the message names the flag.
     """
 
     name: str
@@ -166,36 +160,38 @@ _GRID = ("evaluate-scf", "evaluate-crb", "sweep")
 _OPTIMIZER = ("design", "sweep")
 _DIRECTORY_OUT = ("evaluate-crb", "sweep")
 _POSITIVE = (lambda v: v > 0.0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_GRID_COUNT = (lambda v: v >= 2, ">= 2")
 _SGD = OptimizerConfig()
 
 OPTIONS = (
     Option("geometry", TEXT, None, _ALL, "geometry JSON file (excludes the SUCA options)"),
-    Option("stacks", INTEGER, 3, _ALL, "SUCA stack count"),
-    Option("per_stack", INTEGER, 11, _ALL, "SUCA elements per stack"),
-    Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths"),
-    Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths"),
+    Option("stacks", INTEGER, 3, _ALL, "SUCA stack count", _AT_LEAST_ONE),
+    Option("per_stack", INTEGER, 11, _ALL, "SUCA elements per stack", _AT_LEAST_ONE),
+    Option("spacing_wl", NUMBER, 0.5, _ALL, "SUCA stack spacing in wavelengths", _POSITIVE),
+    Option("radius_wl", NUMBER, 0.68, _ALL, "SUCA ring radius in wavelengths", _NONNEGATIVE),
     Option("seed", INTEGER, _SGD.seed, _ALL,
-           f"random seed (falls back to {SEED_ENV_VAR}; evaluate-crb only records it)",
-           (lambda v: v >= 0, ">= 0")),
+           f"random seed (falls back to {SEED_ENV_VAR}; evaluate-crb only records it)", _NONNEGATIVE),
     # Only sweep runs jobs in parallel; results do not depend on it, so it is not recorded.
     Option("jobs", INTEGER, _usable_cores(), _ALL,
            "sweep worker threads, each using one BLAS thread (default: the cores this process may use);"
-           " the other commands ignore it",
-           (lambda v: v >= 1, ">= 1")),
+           " the other commands ignore it", _AT_LEAST_ONE),
     Option("out", TEXT, _REQUIRED, _ALL, "output file (design, evaluate-scf) or directory (evaluate-crb, sweep)",
            (lambda v: v != "", "a nonempty path")),
     Option("channels", INTEGER, _REQUIRED, ("design",), "channel count M, 1 <= M <= N"),
-    Option("iters", INTEGER, _SGD.iterations, _OPTIMIZER, "SGD iterations"),
-    Option("batch", INTEGER, _SGD.batch_size, _OPTIMIZER, "directions per SGD batch"),
-    Option("alpha", NUMBER, _SGD.step_size, _OPTIMIZER, "SGD step size"),
+    Option("iters", INTEGER, _SGD.iterations, _OPTIMIZER, "SGD iterations", _NONNEGATIVE),
+    Option("batch", INTEGER, _SGD.batch_size, _OPTIMIZER, "directions per SGD batch", _AT_LEAST_ONE),
+    Option("alpha", NUMBER, _SGD.step_size, _OPTIMIZER, "SGD step size", _POSITIVE),
     Option("eta", NUMBER, _SGD.drag, _OPTIMIZER, "momentum drag", (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
-    Option("record_every", INTEGER, _SGD.record_every, _OPTIMIZER, "cost recording period (sweep ignores it)"),
+    Option("record_every", INTEGER, _SGD.record_every, _OPTIMIZER, "cost recording period (sweep ignores it)",
+           _AT_LEAST_ONE),
     Option("sample_az_min", NUMBER, _SGD.azimuth_range[0], _OPTIMIZER, "lowest sampled azimuth"),
     Option("sample_az_max", NUMBER, _SGD.azimuth_range[1], _OPTIMIZER, "highest sampled azimuth"),
     Option("sample_el_min", NUMBER, _SGD.elevation_range[0], _OPTIMIZER, "lowest sampled polar elevation"),
     Option("sample_el_max", NUMBER, _SGD.elevation_range[1], _OPTIMIZER, "highest sampled polar elevation"),
-    Option("grid_az", INTEGER, 121, _GRID, "grid azimuth count"),
-    Option("grid_el", INTEGER, 61, _GRID, "grid elevation count"),
+    Option("grid_az", INTEGER, 121, _GRID, "grid azimuth count", _GRID_COUNT),
+    Option("grid_el", INTEGER, 61, _GRID, "grid elevation count", _GRID_COUNT),
     Option("az_min", NUMBER, -math.pi, _GRID, "grid azimuth start"),
     Option("az_max", NUMBER, math.pi, _GRID, "grid azimuth end"),
     Option("el_min", NUMBER, 0.0, _GRID, "grid polar elevation start"),
@@ -206,8 +202,9 @@ OPTIONS = (
            "NAME=PATH of a combining matrix or design trace JSON (repeatable); uncompressed always included"),
     Option("sigma2", NUMBER, 1.0, ("evaluate-crb",), "noise variance", _POSITIVE),
     Option("separation", NUMBER, DEFAULT_SEPARATION, ("evaluate-crb",), "pair separation", _POSITIVE),
-    Option("rates", NUMBERS, (0.2, 0.4, 0.6), ("sweep",), "comma-separated compression rates in (0, 1]"),
-    Option("seeds_per_point", INTEGER, 5, ("sweep",), "seeds per (method, rate)"),
+    Option("rates", NUMBERS, (0.2, 0.4, 0.6), ("sweep",), "comma-separated compression rates in (0, 1]",
+           (lambda v: all(0.0 < rate <= 1.0 for rate in v), "numbers in (0, 1]")),
+    Option("seeds_per_point", INTEGER, 5, ("sweep",), "seeds per (method, rate)", _AT_LEAST_ONE),
     Option("methods", NAMES, ("gaussian", "sgd"), ("sweep",),
            f"comma-separated subset of {','.join(SWEEP_METHODS)}"),
     Option("external_phi", PAIRS, {}, ("sweep",),
@@ -536,58 +533,6 @@ _RUNNERS = {
 def run(config: CliConfig) -> int:
     """Dispatch a validated CliConfig to its workflow."""
     return _RUNNERS[config.command](config)
-
-
-# (setter, getter) symbol pairs of OpenBLAS builds, the scipy-openblas wheel's first.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_thread_control():
-    """The (set, get) thread-count functions of the OpenBLAS numpy uses, or None.
-
-    numpy's LAPACK extension is opened with ``RTLD_NOLOAD``, which loads
-    nothing, and the symbols resolve through it to the BLAS library it is
-    linked against: the copy numpy has already loaded.
-    """
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return None
-    try:
-        from numpy.linalg import _umath_linalg
-
-        library = ctypes.CDLL(_umath_linalg.__file__, os.RTLD_NOLOAD)
-    except (ImportError, OSError):
-        return None
-    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
-        if hasattr(library, set_name) and hasattr(library, get_name):
-            set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread; yield the count in effect (None: unpinned).
-
-    The previous count is restored on exit, so in-process callers of
-    ``main`` get their BLAS back as they left it.
-    """
-    control = _openblas_thread_control()
-    if control is None:
-        yield None
-        return
-    set_threads, get_threads = control
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield get_threads()
-    finally:
-        set_threads(previous)
 
 
 def main(argv=None) -> int:

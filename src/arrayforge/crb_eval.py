@@ -139,6 +139,9 @@ def _crb_cells(cells: np.ndarray, amplitudes, noise_variance):
     values sigma^2 / 2 tr(F^{-1}) (NaN where flagged), the FIM conditions,
     and the disjoint rank-deficient and unidentifiable masks, each of
     length K.  One 3S x 3S Gram per cell holds G^H G, D^H G and D^H D.
+    The bound is computed at unflagged cells only; ``ValueError`` when the
+    noise variance makes one of them underflow or overflow, that is, when
+    it is not a normal, finite, positive float.
     """
     s = cells.shape[2] // 3
     gram = cells.conj().transpose(0, 2, 1) @ cells
@@ -155,13 +158,22 @@ def _crb_cells(cells: np.ndarray, amplitudes, noise_variance):
     unidentifiable = (condition > CONDITION_LIMIT) | (eig[:, -1] <= _INFORMATION_FLOOR * scale)
     unidentifiable &= ~rank_deficient
     ok = ~(rank_deficient | unidentifiable)
-    trace_inverse = np.sum(1.0 / np.where(ok[:, None], eig, 1.0), axis=1)
-    values = np.where(ok, (0.5 * trace_inverse) * noise_variance, math.nan)
+    values = np.full(len(cells), math.nan)
+    with np.errstate(over="ignore"):
+        values[ok] = (0.5 * np.sum(1.0 / eig[ok], axis=1)) * noise_variance
+    if not np.all(np.isfinite(values[ok]) & (values[ok] >= np.finfo(float).tiny)):
+        raise ValueError(
+            f"noise variance {noise_variance!r} puts the bound outside the range of normal positive floats"
+        )
     return values, condition, rank_deficient, unidentifiable
 
 
 def crb(geometry: ArrayGeometry, scenario: CrbScenario) -> CrbResult:
-    """Trace of the deterministic single-snapshot bound for the scenario: a batch of one."""
+    """Trace of the deterministic single-snapshot bound for the scenario: a batch of one.
+
+    Raises ``ValueError``, as ``_crb_cells`` does, when the noise variance
+    puts the bound outside the range of normal positive floats.
+    """
     if scenario.phi is not None:
         _require_compatible(geometry, scenario.phi)
     angles = np.array([(d.azimuth, d.elevation) for d in scenario.sources], dtype=float)

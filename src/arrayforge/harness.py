@@ -4,7 +4,9 @@ Every job is independent and deterministically seeded, so runs can be
 parallelized and always reproduce byte-identical artifacts.  A sweep
 lists its jobs in artifact order and gets its rows back in job order, so
 the results do not depend on the execution order or the degree of
-parallelism.
+parallelism.  A sweep runs with numpy's OpenBLAS pinned to one thread
+(``_one_blas_thread``), so the pool's threads are the only parallelism and
+its rows do not depend on the caller's BLAS thread count.
 
 This module owns the artifact names and writes every report and CRB map
 file through ``fileio``; design labels name the map files, so the label
@@ -13,10 +15,13 @@ rule lives here too.  It reads no input file: designs arrive as matrices.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -163,18 +168,76 @@ def _run_jobs(jobs, worker, parallelism):
     return [worker(job) for job in jobs]
 
 
+# (setter, getter) symbol pairs of OpenBLAS builds, the scipy-openblas wheel's first.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# The thread count is process-wide, so one thread at a time may hold the pin; re-entrant, so pins nest.
+_BLAS_PIN_LOCK = threading.RLock()
+
+
+def _openblas_thread_control():
+    """The (set, get) thread-count functions of the OpenBLAS numpy uses, or None.
+
+    numpy's LAPACK extension is opened with ``RTLD_NOLOAD``, which loads
+    nothing, and the symbols resolve through it to the BLAS library it is
+    linked against: the copy numpy has already loaded.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    try:
+        import ctypes
+
+        from numpy.linalg import _umath_linalg
+
+        library = ctypes.CDLL(_umath_linalg.__file__, os.RTLD_NOLOAD)
+    except (ImportError, OSError):
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(library, set_name) and hasattr(library, get_name):
+            set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread; yield the count in effect (None: unpinned).
+
+    The previous count is restored on exit, so callers get their BLAS back
+    as they left it.  Entering the pin inside the pin changes nothing, and
+    a second thread waits until the first has left it.
+    """
+    with _BLAS_PIN_LOCK:
+        control = _openblas_thread_control()
+        if control is None:
+            yield None
+            return
+        set_threads, get_threads = control
+        previous = get_threads()
+        set_threads(1)
+        try:
+            yield get_threads()
+        finally:
+            set_threads(previous)
+
+
 def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     """Evaluate grid SCF error for every (method, rate, seed) job.
 
     The grid's steering Gram matrix Q is built once and every job scores
-    its matrix against it, as ``grid_scf_error`` does.  An external matrix
-    of the wrong shape raises ``ValueError`` before any job runs.  A job
-    that cannot produce a combining matrix (an external rate that has no
-    matrix, a design gone non-finite) yields an error row; the sweep
-    continues.
+    its matrix against it, as ``grid_scf_error`` does.  Q and every job are
+    computed inside ``_one_blas_thread``, which restores the caller's BLAS
+    thread count on return.  An external matrix of the wrong shape raises
+    ``ValueError`` before any job runs.  A job that cannot produce a
+    combining matrix (an external rate that has no matrix, a design gone
+    non-finite) yields an error row; the sweep continues.
     """
     channels_at = _sweep_channels(geometry, spec)
-    grid_gram = _steering_gram(geometry, *spec.grid.angles())
 
     seeds = [spec.optimizer.seed + j for j in range(spec.seeds_per_point)]
     # In artifact order, so the rows come back sorted however many threads run the jobs.
@@ -189,7 +252,9 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
             return {**row, "scf_error": math.nan, "status": f"error: {exc}"}
         return {**row, "scf_error": _gap_terms(grid_gram, phi.gramian())[1], "status": "ok"}
 
-    rows = _run_jobs(job_list, worker, jobs)
+    with _one_blas_thread():
+        grid_gram = _steering_gram(geometry, *spec.grid.angles())
+        rows = _run_jobs(job_list, worker, jobs)
 
     aggregates = []
     for (method, rate), group in itertools.groupby(rows, key=lambda r: (r["method"], r["rho"])):

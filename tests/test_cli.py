@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import arrayforge
 from arrayforge import CombiningMatrix, DesignTrace, make_suca, save_geometry
-from arrayforge import cli
+from arrayforge import cli, harness
 from arrayforge.cli import main, parse_and_validate
 from oracles import random_unitary
 
@@ -79,6 +80,38 @@ class TestValidationErrors:
         code = main(["design", "--channels", "3", "--eta", "1.0", "--out", str(tmp_path / "t")])
         assert code == 2
         assert "--eta must be in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, name, value, message",
+        [
+            ("design", "stacks", 0, "--stacks must be >= 1, got 0"),
+            ("design", "per_stack", 0, "--per-stack must be >= 1, got 0"),
+            ("design", "spacing_wl", 0.0, "--spacing-wl must be positive, got 0.0"),
+            ("design", "radius_wl", -0.5, "--radius-wl must be >= 0, got -0.5"),
+            ("design", "iters", -1, "--iters must be >= 0, got -1"),
+            ("design", "batch", 0, "--batch must be >= 1, got 0"),
+            ("design", "alpha", -1.0, "--alpha must be positive, got -1.0"),
+            ("design", "record_every", 0, "--record-every must be >= 1, got 0"),
+            ("sweep", "grid_az", 1, "--grid-az must be >= 2, got 1"),
+            ("evaluate-crb", "grid_el", 1, "--grid-el must be >= 2, got 1"),
+            ("sweep", "seeds_per_point", 0, "--seeds-per-point must be >= 1, got 0"),
+            ("sweep", "rates", [1.5], "--rates must be numbers in (0, 1], got (1.5,)"),
+        ],
+    )
+    def test_single_option_bound_names_its_flag(self, tmp_path, capsys, source, command, name, value, message):
+        # these used to exit 2 naming the library field (iterations, step_size, ...) instead of the flag
+        out = tmp_path / "o"
+        argv = [command, *required_options(command, tmp_path), "--out", str(out)]
+        if source == "flag":
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += ["--" + name.replace("_", "-"), text]
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"schema_version": 1, name: value}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_flag_rejected(self, tmp_path):
         code = main(["design", "--channels", "3", "--frobnicate", "1", "--out", str(tmp_path / "t")])
@@ -715,6 +748,29 @@ class TestEvaluateCrbCommand:
         assert str(bad) in err and str(good) not in err and fragment in err
         assert not out.exists()
 
+    def test_noise_variance_that_underflows_the_bound_fails(self, tmp_path, capsys):
+        # exit 0 with 0.0 at "ok" cells, a -inf median and two numpy warnings, before the bound was checked
+        out = tmp_path / "crb"
+        assert main(["evaluate-crb", "--grid-az", "5", "--grid-el", "3", "--sigma2", "5e-324", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: noise variance 5e-324 puts the bound outside the range of normal positive floats\n"
+        )
+        assert not out.exists()
+
+    def test_huge_noise_variance_scales_ok_cells_without_warnings(self, tmp_path, capsys):
+        # 1e308 overflowed, with a warning, in arithmetic on flagged cells (the suite makes that warning exit 1)
+        argv = ["evaluate-crb", "--grid-az", "5", "--grid-el", "3"]
+        assert main([*argv, "--sigma2", "1e308", "--out", str(tmp_path / "huge")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*argv, "--out", str(tmp_path / "unit")]) == 0
+        for kind in ("single", "azimuth-pair", "elevation-pair"):
+            huge, unit = (read_rows(tmp_path / out / f"crb_uncompressed_{kind}.csv")[1:] for out in ("huge", "unit"))
+            assert [row[3] for row in huge] == [row[3] for row in unit]
+            ok = [row[3] == "ok" for row in unit]
+            assert any(ok) and not all(ok)
+            values = [(float(h[2]), float(u[2])) for h, u, cell_ok in zip(huge, unit, ok) if cell_ok]
+            assert all(h == u * 1e308 for h, u in values)
+
 
 class TestInputsReadAtValidation:
     """parse_and_validate reads every --phi and --external-phi document; run only computes and writes."""
@@ -955,7 +1011,7 @@ SWEEP_ARGS = [
 @pytest.fixture
 def blas_control():
     """OpenBLAS (set, get) thread-count functions; skips where numpy has none."""
-    control = cli._openblas_thread_control()
+    control = harness._openblas_thread_control()
     if control is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
     return control
@@ -968,12 +1024,12 @@ def _package_env() -> dict:
 
 
 class TestBlasPin:
-    """The CLI runs each command with one OpenBLAS thread and restores the count."""
+    """CLI commands and run_scf_sweep run with one OpenBLAS thread and restore the caller's count."""
 
     def test_import_leaves_thread_count_alone(self, blas_control):
         probe = (
             "import arrayforge, arrayforge.cli\n"
-            "set_threads, get_threads = arrayforge.cli._openblas_thread_control()\n"
+            "set_threads, get_threads = arrayforge.harness._openblas_thread_control()\n"
             "print(get_threads())\n"
         )
         env = {**_package_env(), "OPENBLAS_NUM_THREADS": "2"}
@@ -1011,8 +1067,70 @@ class TestBlasPin:
         provenance = json.loads((out / "scf_sweep_provenance.json").read_text())
         assert provenance["blas_threads"] == 1
 
+    def test_library_sweep_matches_cli_at_any_jobs_and_caller_count(self, blas_control, tmp_path):
+        # At two OpenBLAS threads the unpinned library sweep used to differ from the CLI's rows in the last bits.
+        set_threads, get_threads = blas_control
+        before = get_threads()
+        argv = ["sweep", "--rates", "0.2,0.4", "--seeds-per-point", "2", "--methods", "gaussian,sgd",
+                "--iters", "5", "--grid-az", "31", "--grid-el", "16", "--jobs", "2"]
+        config = parse_and_validate([*argv, "--out", str(tmp_path / "unused")])
+        geometry, spec = config.geometry, config.spec
+        interval = sys.getswitchinterval()
+        set_threads(2)
+        try:
+            assert main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+            assert get_threads() == 2
+            by_jobs = {jobs: harness.run_scf_sweep(geometry, spec, jobs=jobs).rows for jobs in (1, 2)}
+            assert get_threads() == 2
+            # More sweeps at once than cores, switching threads often: a lost restore would leave 1.
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(harness.run_scf_sweep, geometry, spec, 2) for _ in range(4)]
+                concurrent = [future.result(timeout=60) for future in futures]
+            assert get_threads() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(before)
+        with open(tmp_path / "sweep" / "scf_sweep_results.csv", newline="") as handle:
+            cli_errors = [float(row["scf_error"]) for row in csv.DictReader(handle)]
+        assert len(cli_errors) == 8
+        for rows in (by_jobs[1], by_jobs[2], *(report.rows for report in concurrent)):
+            assert [row["scf_error"] for row in rows] == cli_errors
+            assert all(row["status"] == "ok" for row in rows)
+
+    def test_failing_command_restores_the_count(self, blas_control, tmp_path, capsys):
+        set_threads, get_threads = blas_control
+        before = get_threads()
+        set_threads(2)
+        try:
+            # the design diverges at run time: exit 1, not a validation failure
+            assert main(["design", *SMALL_GEOM, *FAST_DESIGN, "--channels", "2", "--alpha", "1e308",
+                         "--out", str(tmp_path / "t.json")]) == 1
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_sweep_whose_job_raises_restores_the_count(self, blas_control, tmp_path, monkeypatch):
+        set_threads, get_threads = blas_control
+        before = get_threads()
+        config = parse_and_validate([*SWEEP_ARGS, "--out", str(tmp_path / "unused")])
+
+        def explode(*args):
+            raise RuntimeError("job failed")
+
+        monkeypatch.setattr(harness, "random_gaussian_phi", explode)
+        set_threads(2)
+        try:
+            for jobs in (1, 2):
+                with pytest.raises(RuntimeError, match="job failed"):
+                    harness.run_scf_sweep(config.geometry, config.spec, jobs=jobs)
+                assert get_threads() == 2
+        finally:
+            set_threads(before)
+
     def test_unpinned_run_records_null(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas_thread_control", lambda: None)
+        monkeypatch.setattr(harness, "_openblas_thread_control", lambda: None)
         out = run_design(tmp_path)
         assert json.loads(out.read_text())["provenance"]["blas_threads"] is None
 

@@ -138,6 +138,13 @@ class TestCrb:
             crb(suca33, scenario)
         assert exc_info.value.condition > 0.0
 
+    @pytest.mark.parametrize("noise_variance, amplitude", [(5e-324, 1.0), (1e308, 1e-3)])
+    def test_bound_outside_the_normal_floats_raises(self, suca33, noise_variance, amplitude):
+        # the bound 0.004 / amplitude^2 underflows to a subnormal at 5e-324 and overflows at 1e308
+        scenario = CrbScenario((Direction(0.3, 1.2),), np.array([amplitude]), noise_variance, None)
+        with pytest.raises(ValueError, match="noise variance .* puts the bound outside"):
+            crb(suca33, scenario)
+
     def test_result_is_positive_with_condition(self, suca33):
         scenario = random_scenario(np.random.default_rng(5), suca33)
         result = crb(suca33, scenario)
@@ -203,6 +210,18 @@ class TestCrbMap:
             crb_map(suca33, None, grid, "azimuth-pair", separation=math.inf)
         with pytest.raises(ValueError):
             crb_map(suca33, None, grid, "single", noise_variance=0.0)
+
+    @pytest.mark.parametrize("kind", ["single", "azimuth-pair", "elevation-pair"])
+    def test_noise_variance_scales_ok_cells_only(self, suca33, kind):
+        # 1e308 overflowed, with a warning (an error in this suite), at flagged cells; 5e-324 left 0.0 at "ok" cells
+        grid = ScfGrid(5, 3, (-math.pi, math.pi), (0.0, math.pi))
+        unit = crb_map(suca33, None, grid, kind, 2.0 * math.pi / 10.0)
+        huge = crb_map(suca33, None, grid, kind, 2.0 * math.pi / 10.0, noise_variance=1e308)
+        ok = unit.ok_mask()
+        assert np.array_equal(huge.status, unit.status) and ok.any() and not ok.all()
+        assert np.array_equal(huge.values[ok], unit.values[ok] * 1e308)
+        with pytest.raises(ValueError, match="noise variance 5e-324"):
+            crb_map(suca33, None, grid, kind, 2.0 * math.pi / 10.0, noise_variance=5e-324)
 
     def test_azimuth_pair_wraps_around(self, suca33):
         sep = 2.0 * math.pi / 10.0
