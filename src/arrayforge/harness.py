@@ -20,6 +20,7 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -232,11 +233,14 @@ def run_scf_sweep(geometry: ArrayGeometry, spec: SweepSpec, jobs: int = 1) -> Ex
     The grid's steering Gram matrix Q is built once and every job scores
     its matrix against it, as ``grid_scf_error`` does.  Q and every job are
     computed inside ``_one_blas_thread``, which restores the caller's BLAS
-    thread count on return.  An external matrix of the wrong shape raises
-    ``ValueError`` before any job runs.  A job that cannot produce a
-    combining matrix (an external rate that has no matrix, a design gone
-    non-finite) yields an error row; the sweep continues.
+    thread count on return.  ``jobs`` that is not an integer >= 1, or an
+    external matrix of the wrong shape, raises ``ValueError`` before any
+    job runs.  A job that cannot produce a combining matrix (an external
+    rate that has no matrix, a design gone non-finite) yields an error
+    row; the sweep continues.
     """
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     channels_at = _sweep_channels(geometry, spec)
 
     seeds = [spec.optimizer.seed + j for j in range(spec.seeds_per_point)]
@@ -356,11 +360,6 @@ def _columns(header, rows) -> list:
 
 def write_crb_map(map_: CrbMap, csv_path, metadata: dict | None = None):
     """Emit the map as CSV cells plus a JSON sidecar with scenario metadata and the map's statistics."""
-    return _write_map(map_, csv_path, metadata, map_.log10_statistics())
-
-
-def _write_map(map_: CrbMap, csv_path, metadata, statistics: dict):
-    """``write_crb_map`` with the map's ``log10_statistics`` given."""
     cells = (map_.values.ravel().tolist(), map_.status.ravel().tolist())
     csv_path = atomic_write_csv(csv_path, _MAP_HEADER, [*_grid_columns(map_.grid), *cells])
     sidecar = {
@@ -368,7 +367,7 @@ def _write_map(map_: CrbMap, csv_path, metadata, statistics: dict):
         "separation": map_.separation,
         "noise_variance": map_.noise_variance,
         "grid": map_.grid.to_dict(),
-        "statistics": statistics,
+        "statistics": map_.log10_statistics(),
         **(metadata or {}),
     }
     return csv_path, atomic_write_json(csv_path.with_suffix(".json"), sidecar)
@@ -393,16 +392,14 @@ def write_sweep_report(report: ExperimentReport, outdir) -> list:
 def write_crb_report(report: ExperimentReport, outdir) -> list:
     """Write one CSV+JSON pair per map, a summary CSV of the rows (their keys as header), and provenance.
 
-    Each map's files are those of ``write_crb_map``, except that the
-    sidecar's statistics are taken from the map's summary row (every key
-    but "method" and "kind") instead of being computed again.
+    Each map's files are written by ``write_crb_map`` with the design's
+    label as the sidecar's "method".
     """
     outdir = Path(outdir)
     written = []
-    for (name, kind, map_), row in zip(report.maps or [], report.rows):
-        statistics = {key: value for key, value in row.items() if key not in ("method", "kind")}
+    for name, kind, map_ in report.maps or []:
         path = outdir / f"crb_{_slug(name)}_{_slug(kind)}.csv"
-        written.extend(_write_map(map_, path, {"method": name}, statistics))
+        written.extend(write_crb_map(map_, path, {"method": name}))
     header = list(report.rows[0])
     written.append(atomic_write_csv(outdir / "crb_summary.csv", header, _columns(header, report.rows)))
     written.append(atomic_write_json(outdir / "crb_provenance.json", report.provenance))

@@ -32,11 +32,15 @@ def _require_finite(entries: np.ndarray) -> None:
 
 
 def _unit_columns(entries: np.ndarray) -> np.ndarray:
-    """``entries`` with every column divided by its Euclidean norm."""
+    """``entries`` with every column divided by its Euclidean norm.
+
+    ``ValueError``: ``_require_finite``'s for a non-finite entry, else one for a zero or overflowing column norm.
+    """
     # A norm that overflows is the error raised below, not a warning.
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(entries, axis=0)
     if not np.all((norms > 0.0) & (norms < np.inf)):
+        _require_finite(entries)
         raise ValueError("cannot normalize a matrix with a zero column or a column norm that overflows")
     return entries / norms
 
@@ -69,11 +73,8 @@ class CombiningMatrix:
     def gramian(self) -> np.ndarray:
         return self.entries.conj().T @ self.entries
 
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.entries, axis=0)
-
     def is_column_normalized(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.column_norms() - 1.0)) <= tol)
+        return bool(np.max(np.abs(np.linalg.norm(self.entries, axis=0) - 1.0)) <= tol)
 
     def normalize(self) -> "CombiningMatrix":
         """Return a copy whose columns have unit Euclidean norm."""

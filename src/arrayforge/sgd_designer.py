@@ -23,7 +23,6 @@ from .scf_objective import (
     CombiningMatrix,
     _gap_terms,
     _require_compatible,
-    _require_finite,
     _unit_columns,
 )
 
@@ -237,16 +236,14 @@ def _descend(
     """
     _require_compatible(geometry, phi)
     entries, costs = phi.entries, []
-    # A diverging run overflows on its way to inf; _require_finite and _unit_columns report it.
+    # A diverging run overflows on its way to inf; _unit_columns reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for angles in blocks:
             for a in _steering_rows(geometry, angles[:, 0], angles[:, 1]):
                 cost, grad = _batch_terms(entries, a)
                 costs.append(cost)
                 velocity = config.drag * velocity - config.step_size * grad
-                moved = entries + velocity
-                _require_finite(moved)
-                entries = _unit_columns(moved)
+                entries = _unit_columns(entries + velocity)
     return entries, velocity, costs
 
 

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -74,6 +75,12 @@ class TestParseDefaults:
         assert config.options["iters"] == 5000
         assert config.options["eta"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
+    def test_usable_cores_without_affinity_is_the_cpu_count(self, monkeypatch, cpu_count, cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli._usable_cores() == cores
+
 
 class TestValidationErrors:
     def test_eta_one_rejected(self, tmp_path, capsys):
@@ -96,6 +103,7 @@ class TestValidationErrors:
             ("sweep", "grid_az", 1, "--grid-az must be >= 2, got 1"),
             ("evaluate-crb", "grid_el", 1, "--grid-el must be >= 2, got 1"),
             ("sweep", "seeds_per_point", 0, "--seeds-per-point must be >= 1, got 0"),
+            ("sweep", "jobs", 0, "--jobs must be >= 1, got 0"),
             ("sweep", "rates", [1.5], "--rates must be numbers in (0, 1], got (1.5,)"),
         ],
     )
@@ -1133,6 +1141,38 @@ class TestBlasPin:
         monkeypatch.setattr(harness, "_openblas_thread_control", lambda: None)
         out = run_design(tmp_path)
         assert json.loads(out.read_text())["provenance"]["blas_threads"] is None
+
+    @pytest.mark.parametrize("fallback", ["no RTLD_NOLOAD", "CDLL raises OSError", "no setter/getter pair"])
+    def test_without_thread_control_the_sweep_runs_unpinned(self, tmp_path, monkeypatch, fallback):
+        import ctypes
+
+        def refuse(*args):
+            raise OSError("cannot open the library")
+
+        # every setter resolves, but none has its getter
+        setters_only = types.SimpleNamespace(**dict.fromkeys(name for name, _ in harness._BLAS_THREAD_SYMBOLS))
+        config = parse_and_validate([*SWEEP_ARGS, "--out", str(tmp_path / "unused")])
+        pinned = harness.run_scf_sweep(config.geometry, config.spec).rows
+        real = harness._openblas_thread_control()
+        monkeypatch.setattr(os, "RTLD_NOLOAD", getattr(os, "RTLD_NOLOAD", 0), raising=False)
+        if fallback == "no RTLD_NOLOAD":
+            monkeypatch.delattr(os, "RTLD_NOLOAD")
+        elif fallback == "CDLL raises OSError":
+            monkeypatch.setattr(ctypes, "CDLL", refuse)
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda *args: setters_only)
+        assert harness._openblas_thread_control() is None
+        with harness._one_blas_thread() as threads:
+            assert threads is None
+        # Unpinned, the sweep runs at the caller's count; at one thread its rows are the pinned ones.
+        before = real[1]() if real else None
+        try:
+            if real:
+                real[0](1)
+            assert harness.run_scf_sweep(config.geometry, config.spec, jobs=2).rows == pinned
+        finally:
+            if real:
+                real[0](before)
 
 
 class TestAtomicWrites:

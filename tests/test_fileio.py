@@ -104,6 +104,20 @@ def test_columns_must_match_the_header_and_each_other(tmp_path, header, columns)
     assert not (tmp_path / "bad.csv").exists()
 
 
+def test_failed_cleanup_lets_the_replace_error_propagate(tmp_path, monkeypatch):
+    def fail_replace(src, dst):
+        raise OSError("replace failed")
+
+    def fail_unlink(path):
+        raise OSError("unlink failed")
+
+    monkeypatch.setattr(fileio.os, "replace", fail_replace)
+    monkeypatch.setattr(fileio.os, "unlink", fail_unlink)
+    with pytest.raises(OSError, match="^replace failed$"):
+        atomic_write_text(tmp_path / "artifact.txt", "x")
+    assert not (tmp_path / "artifact.txt").exists()
+
+
 @pytest.mark.parametrize("length", [245, 255])
 def test_any_valid_file_name_can_be_written(tmp_path, length):
     # The temporary file's name does not grow with the target's, so a name at

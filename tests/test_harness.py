@@ -26,7 +26,7 @@ from arrayforge import (
     write_crb_report,
     write_sweep_report,
 )
-from arrayforge.crb_eval import CrbMap
+from arrayforge import harness
 from oracles import random_unitary
 
 
@@ -167,6 +167,17 @@ class TestScfSweep:
         r1 = run_scf_sweep(small_geometry, small_spec(), jobs=1)
         r4 = run_scf_sweep(small_geometry, small_spec(), jobs=4)
         assert r1.rows == r4.rows
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    def test_jobs_below_one_or_not_an_integer_rejected_before_any_work(self, small_geometry, monkeypatch, jobs):
+        # jobs=0 and jobs=-3 used to run serially without a word, while --jobs 0 exits 2
+        def explode(*args):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(harness, "_sweep_channels", explode)
+        monkeypatch.setattr(harness, "_steering_gram", explode)
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1, got "):
+            run_scf_sweep(small_geometry, small_spec(), jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rows_equal_grid_scf_error_of_their_matrix(self, jobs):
@@ -359,20 +370,13 @@ class TestCrbExperiment:
             statistics = json.loads(in_report[1].read_text())["statistics"]
             assert statistics == json.loads(json.dumps({k: v for k, v in row.items() if k not in ("method", "kind")}))
 
-    def test_report_computes_each_map_statistics_once(self, small_geometry, tmp_path, monkeypatch):
-        calls = []
-        real = CrbMap.log10_statistics
-
-        def counting(map_):
-            calls.append(map_)
-            return real(map_)
-
-        monkeypatch.setattr(CrbMap, "log10_statistics", counting)
+    def test_report_sidecar_statistics_equal_summary_rows_and_files_equal_write_crb_map(
+        self, small_geometry, tmp_path
+    ):
         grid = ScfGrid(4, 3, (-1.0, 1.0), (0.0, math.pi))
         phi = CombiningMatrix(random_unitary(6, np.random.default_rng(3))[:3])
         report = run_crb_experiment(small_geometry, {"gaussian": phi}, grid)
         written = write_crb_report(report, tmp_path / "report")
-        assert len(calls) == len(report.maps) == 6
         for i, ((name, kind, map_), row) in enumerate(zip(report.maps, report.rows)):
             in_report = written[2 * i : 2 * i + 2]
             statistics = json.loads(in_report[1].read_text())["statistics"]
