@@ -10,6 +10,9 @@ Phase convention: element n responds with exp(+j * 2*pi * <u, p_n>) to a
 unit plane wave with propagation direction u.  A global sign flip would
 leave every objective in this package unchanged; the + sign is fixed
 here once and for all.
+
+Every steering matrix comes from ``_steering_rows``, and ``_angle_arrays``
+checks every angle array once (NaN or infinite angles raise ``ValueError``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class ArrayGeometry:
     The elements are grouped once, here, by their distinct horizontal
     positions (x, y) and their distinct heights z.  When there are fewer
     groups than elements, as on a stacked array whose rings share their
-    horizontal positions, ``steering_angles`` evaluates one phasor per
+    horizontal positions, ``_steering_rows`` evaluates one phasor per
     group and multiplies them per element; otherwise each element keeps
     its own phasor.
     """
@@ -128,49 +131,45 @@ def _propagation(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
     )
 
 
-def _row_phasors(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
-    """exp(j * 2*pi * <p, u>) for the geometry's rows p and (..., L) angle arrays, as (..., R, L).
-
-    The rows are the element groups on a grouped geometry, else the
-    elements.  Each 3 x L block of propagation vectors gets its own phase
-    product, so block k equals the phasors of angle row k alone bit for bit.
-    """
-    rows = geometry.positions if geometry._stack is None else geometry._stack[0]
-    return np.exp(1j * (_TWO_PI * (rows @ _propagation(azimuth, elevation))))
-
-
-def _element_steering(geometry: ArrayGeometry, phasors: np.ndarray) -> np.ndarray:
-    """The N x L steering matrix from one R x L block of ``_row_phasors``."""
-    if geometry._stack is None:
-        return phasors
-    _, horizontal_row, height_row = geometry._stack
-    return phasors[horizontal_row] * phasors[height_row]
+def _angle_arrays(azimuth, elevation):
+    """Float ``azimuth`` and ``elevation``; ``ValueError`` unless equal-length, nonempty, 1-D and finite."""
+    azimuth = np.asarray(azimuth, dtype=float)
+    elevation = np.asarray(elevation, dtype=float)
+    if azimuth.ndim != 1 or azimuth.shape != elevation.shape or azimuth.size < 1:
+        raise ValueError("need equal-length, nonempty 1-D azimuth and elevation arrays")
+    if not (np.isfinite(azimuth).all() and np.isfinite(elevation).all()):
+        raise ValueError("direction angles must be finite")
+    return azimuth, elevation
 
 
 def _steering_rows(geometry: ArrayGeometry, azimuth: np.ndarray, elevation: np.ndarray):
-    """Yield the N x L steering matrix of each row of (n, L) angle arrays.
+    """Yield the N x L steering matrix of each row of (n, L) angle arrays; the one steering path.
 
-    The phasors of all rows come from one exponential call; each row's
-    element products are formed when it is reached, so no n x N x L stack
-    is held.  Each matrix equals ``steering_angles`` of its row bit for bit.
+    One exponential call takes the phasors of the geometry's groups (or its
+    elements, if ungrouped) for all rows; each row's element products are
+    formed when it is reached, and a row's matrix does not depend on the others.
     """
-    for phasors in _row_phasors(geometry, azimuth, elevation):
-        yield _element_steering(geometry, phasors)
+    rows = geometry.positions if geometry._stack is None else geometry._stack[0]
+    phasors = np.exp(1j * (_TWO_PI * (rows @ _propagation(azimuth, elevation))))
+    if geometry._stack is None:
+        yield from phasors
+        return
+    _, horizontal_row, height_row = geometry._stack
+    for block in phasors:
+        yield block[horizontal_row] * block[height_row]
 
 
 def steering_angles(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """N x L complex matrix of steering vectors for L (azimuth, elevation) pairs.
 
-    ``azimuth`` and ``elevation`` are equal-length 1-D arrays of radians.
-    On a grouped geometry each entry is the product of its horizontal and
-    its height phasor, so U_h + U_z exponentials are taken per direction
-    instead of N.
+    ``azimuth`` and ``elevation`` are equal-length, nonempty, finite 1-D
+    arrays of radians; anything else raises ``ValueError``.  The matrix is
+    the one row of ``_steering_rows``, so on a grouped geometry U_h + U_z
+    exponentials are taken per direction instead of N.
     """
-    azimuth = np.asarray(azimuth, dtype=float)
-    elevation = np.asarray(elevation, dtype=float)
-    if azimuth.ndim != 1 or azimuth.shape != elevation.shape or azimuth.size < 1:
-        raise ValueError("need equal-length, nonempty 1-D azimuth and elevation arrays")
-    return _element_steering(geometry, _row_phasors(geometry, azimuth, elevation))
+    az, el = _angle_arrays(azimuth, elevation)
+    (a,) = _steering_rows(geometry, az[np.newaxis], el[np.newaxis])
+    return a
 
 
 def steering_batch(geometry: ArrayGeometry, directions: Sequence[Direction]) -> np.ndarray:
@@ -186,8 +185,8 @@ def _steering_columns(geometry: ArrayGeometry, azimuth, elevation) -> np.ndarray
     d A / d angle is j times the real phase derivative 2 pi <p, du/d angle>
     times A, so A is evaluated once and each derivative row scales it.
     """
-    az, el = np.asarray(azimuth, dtype=float), np.asarray(elevation, dtype=float)
-    a = steering_angles(geometry, az, el)
+    az, el = _angle_arrays(azimuth, elevation)
+    (a,) = _steering_rows(geometry, az[np.newaxis], el[np.newaxis])
     du_daz = np.stack([-np.sin(az) * np.sin(el), np.cos(az) * np.sin(el), np.zeros_like(az)])
     du_del = np.stack([np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), -np.sin(el)])
     phase_az, phase_el = (_TWO_PI * (geometry.positions @ du) for du in (du_daz, du_del))

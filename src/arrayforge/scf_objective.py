@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayGeometry, Direction, steering_angles
+from .array_model import ArrayGeometry, Direction, _angle_arrays, steering_angles
 from .fileio import _json_numbers, _json_value, _require_keys
 
 __all__ = [
@@ -103,23 +103,17 @@ class CombiningMatrix:
 class AngleBatch:
     """One batch of L directions driving the stochastic objective.
 
-    ``azimuth`` and ``elevation`` are read-only float arrays of equal
-    length L >= 1, in radians.
+    ``azimuth`` and ``elevation`` are read-only float copies, in radians, of
+    arrays that pass the steering layer's one angle check: equal length
+    L >= 1, 1-D and finite, else ``ValueError``.
     """
 
     azimuth: np.ndarray
     elevation: np.ndarray
 
     def __post_init__(self) -> None:
-        azimuth = np.array(self.azimuth, dtype=float)
-        elevation = np.array(self.elevation, dtype=float)
-        if azimuth.ndim != 1 or azimuth.shape != elevation.shape:
-            raise ValueError("azimuth and elevation must be 1-D arrays of equal length")
-        if azimuth.size < 1:
-            raise ValueError("an angle batch needs at least one direction")
-        if not (np.all(np.isfinite(azimuth)) and np.all(np.isfinite(elevation))):
-            raise ValueError("direction angles must be finite")
-        for name, angles in (("azimuth", azimuth), ("elevation", elevation)):
+        for name, angles in zip(("azimuth", "elevation"), _angle_arrays(self.azimuth, self.elevation)):
+            angles = angles.copy()
             angles.setflags(write=False)
             object.__setattr__(self, name, angles)
 

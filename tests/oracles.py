@@ -213,3 +213,23 @@ def max_relative_error(actual, expected, floor=1e-12):
     expected = np.asarray(expected)
     denom = np.maximum(np.abs(expected), floor)
     return float(np.max(np.abs(actual - expected) / denom))
+
+
+def invalid_angle_cases():
+    """(id, azimuth, elevation, message) for the angle arrays that the package rejects.
+
+    NaN, +inf and -inf in the azimuth and in the elevation, then an empty
+    pair, unequal lengths and a 2-D pair; ``message`` is a regex of the error.
+    """
+    cases = []
+    for side in ("azimuth", "elevation"):
+        for name, value in (("nan", math.nan), ("infinite", math.inf), ("negative-infinite", -math.inf)):
+            angles = {"azimuth": [0.1, 0.2], "elevation": [1.0, 1.2]}
+            angles[side][1] = value
+            cases.append((f"{name}-{side}", angles["azimuth"], angles["elevation"], "must be finite"))
+    shape = "equal-length, nonempty 1-D"
+    return cases + [
+        ("empty", [], [], shape),
+        ("unequal-lengths", [0.1, 0.2], [1.0], shape),
+        ("two-dimensional", [[0.1, 0.2]], [[1.0, 1.2]], shape),
+    ]

@@ -16,8 +16,8 @@ from arrayforge import (
     steering_derivative,
     steering_derivative_angles,
 )
-from arrayforge import fileio
-from oracles import elementwise_steering, random_directions, random_geometry
+from arrayforge import array_model, fileio
+from oracles import elementwise_steering, invalid_angle_cases, random_directions, random_geometry
 from strategies import angle_batches, stacked_geometries
 
 
@@ -142,6 +142,15 @@ class TestSteering:
         a = steering_angles(suca33, [0.37, 0.37 + 2.0 * math.pi], [1.2, 1.2])
         assert np.max(np.abs(a[:, 0] - a[:, 1])) <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("steer", [steering_angles, steering_derivative_angles])
+    @pytest.mark.parametrize(
+        "azimuth, elevation, message", [pytest.param(*case[1:], id=case[0]) for case in invalid_angle_cases()]
+    )
+    def test_rejects_invalid_angles(self, suca33, steer, azimuth, elevation, message):
+        with pytest.raises(ValueError, match=message):
+            steer(suca33, azimuth, elevation)
+
 
 class TestSteeringBatch:
     def test_matches_steering_angles_columns(self, suca33):
@@ -258,3 +267,16 @@ class TestSteeringAgainstElementwiseOracle:
         derived = steering_derivative_angles(geom, batch.azimuth, batch.elevation)
         for actual, oracle in zip(derived, expected):
             assert np.max(np.abs(actual - oracle)) <= 1e-13
+
+
+class TestSteeringRows:
+    @pytest.mark.parametrize("name", ["suca-3x11", "random-33"])
+    def test_each_row_equals_steering_angles_of_that_row(self, name):
+        # The design loop steers (4, 2, L) blocks of sampled angles; each batch must
+        # steer bit for bit as it would alone, on a grouped and an ungrouped array.
+        geom = ORACLE_GEOMETRIES[name]()
+        angles = np.random.default_rng(9).uniform([[-math.pi], [0.0]], [[math.pi], [math.pi]], (4, 2, 250))
+        rows = list(array_model._steering_rows(geom, angles[:, 0], angles[:, 1]))
+        assert len(rows) == 4
+        for a, (azimuth, elevation) in zip(rows, angles):
+            assert np.array_equal(a, steering_angles(geom, azimuth, elevation))

@@ -23,6 +23,7 @@ from oracles import (
     batch_of,
     bruteforce_grid_error,
     elementwise_error,
+    invalid_angle_cases,
     max_relative_error,
     quadruple_loop_cost,
     random_directions,
@@ -87,22 +88,11 @@ class TestCombiningMatrix:
 
 
 class TestAngleBatchAndGrid:
-    def test_batch_needs_a_direction(self):
-        with pytest.raises(ValueError):
-            AngleBatch([], [])
-
     @pytest.mark.parametrize(
-        "azimuth, elevation",
-        [
-            ([0.1, math.nan], [1.0, 1.2]),
-            ([0.1, 0.2], [1.0, math.inf]),
-            ([0.1, 0.2], [1.0]),
-            ([[0.1, 0.2]], [[1.0, 1.2]]),
-        ],
-        ids=["nan-azimuth", "infinite-elevation", "unequal-lengths", "two-dimensional"],
+        "azimuth, elevation, message", [pytest.param(*case[1:], id=case[0]) for case in invalid_angle_cases()]
     )
-    def test_batch_rejects_invalid_angles(self, azimuth, elevation):
-        with pytest.raises(ValueError):
+    def test_batch_rejects_invalid_angles(self, azimuth, elevation, message):
+        with pytest.raises(ValueError, match=message):
             AngleBatch(azimuth, elevation)
 
     def test_batch_angles_are_read_only_copies(self):
