@@ -1,7 +1,8 @@
 """Command-line front end: design, evaluate-scf, evaluate-crb, sweep.
 
 Every option is declared once, as a row of ``OPTIONS``: the row names the
-flag and the config-file key, coerces the value, and holds the default.
+flag and the config-file key, coerces the value, and holds the default.  A
+config file holds only the options of the command it is read for.
 Option precedence is flags over config-file values over built-in defaults
 (the seed additionally falls back to the ARRAYFORGE_SEED environment
 variable before the default).  Flag strings and config JSON values go
@@ -298,7 +299,8 @@ def _load_phi_document(path) -> tuple:
     return CombiningMatrix.from_dict(data), None
 
 
-def _load_config_file(path_text: str) -> dict:
+def _load_config_file(path_text: str, command: str) -> dict:
+    """The options of a config file read for ``command``; a key that ``command`` does not take is a CliError."""
     path = Path(path_text)
     data = _read_input("config", path_text, load_json)
     if not isinstance(data, dict):
@@ -311,11 +313,10 @@ def _load_config_file(path_text: str) -> dict:
         raise CliError(
             f"config file {path} must declare \"schema_version\": {CONFIG_SCHEMA_VERSION}"
         )
-    unknown = sorted(set(data) - {option.name for option in OPTIONS} - {"schema_version"})
+    taken = {option.name for option in OPTIONS if command in option.commands}
+    unknown = sorted(set(data) - taken - {"schema_version"})
     if unknown:
-        raise CliError(
-            f"config file {path} has unknown keys: {', '.join(unknown)}"
-        )
+        raise CliError(f"config file {path} has unknown keys: {', '.join(unknown)} (not options of {command})")
     return {k: v for k, v in data.items() if k != "schema_version"}
 
 
@@ -456,7 +457,7 @@ def parse_and_validate(argv) -> CliConfig:
     flags = vars(_build_parser().parse_args(argv))
     command = flags.pop("command")
     config_file = flags.pop("config")
-    values, given = _resolve(command, flags, _load_config_file(config_file) if config_file else {})
+    values, given = _resolve(command, flags, _load_config_file(config_file, command) if config_file else {})
     try:
         return _build(command, values, given)
     except ValueError as exc:

@@ -25,17 +25,14 @@ elevation-shifted partner) at every cell of the block, compresses them once
 per design and scores each kind at the cells where it is present.
 ``crb_map`` is the pass for one design and one kind;
 ``harness.run_crb_experiment`` runs one pass for all designs and kinds
-through ``_shared_pass``.  A block's working set does not grow with the
-grid or the number of designs: its steering columns take 1.2 MB at N = 33
-with all three sources.
+and hands it to each of its ``crb_map`` calls as ``_shared``.  A block's
+working set does not grow with the grid or the number of designs: its
+steering columns take 1.2 MB at N = 33 with all three sources.
 This module only computes: ``harness.write_crb_map`` names and writes map files.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import functools
 import math
 from dataclasses import dataclass
 
@@ -230,6 +227,8 @@ def crb_map(
     scenario_kind: str,
     separation: float | None = None,
     noise_variance: float = 1.0,
+    *,
+    _shared=None,
 ) -> CrbMap:
     """Evaluate the bound with source 1 swept over the grid.
 
@@ -237,38 +236,16 @@ def crb_map(
     in azimuth (wrapped modulo 2 pi) or elevation; elevation offsets that
     leave the open polar interval (0, pi) mark the cell "absent".  Cells
     where the bound does not exist are flagged, never dropped.
+
+    ``_shared`` is internal: a function that returns one ``_crb_maps``
+    pass's maps by ``(id(phi), kind)``.  Given it, the map is looked up
+    there, not evaluated.  So each map of ``harness.run_crb_experiment``
+    comes out of its own ``crb_map`` call, where the benchmark's tracer
+    counts map cells, and the pass's time counts in the first of them.
     """
-    shared = _SHARED_PASS.get()
-    if shared is not None:
-        return shared()[id(phi), scenario_kind]
+    if _shared is not None:
+        return _shared()[id(phi), scenario_kind]
     return _crb_maps(geometry, [phi], grid, [scenario_kind], separation, noise_variance)[0][0]
-
-
-# Inside _shared_pass: a function that runs the pass once and returns its maps by (id(phi), kind).
-_SHARED_PASS = contextvars.ContextVar("_SHARED_PASS", default=None)
-
-
-@contextlib.contextmanager
-def _shared_pass(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, noise_variance):
-    """Inside the block, ``crb_map`` of each design in ``phis`` and kind in ``kinds`` takes its map from one pass.
-
-    The first ``crb_map`` call runs ``_crb_maps`` for all of them and the
-    later calls return its maps; the block's only ``crb_map`` calls are
-    these.  So each map still comes out of its own ``crb_map`` call, where
-    the benchmark's tracer counts map cells, and the pass's time counts in
-    ``crb_map``.
-    """
-
-    @functools.cache
-    def maps() -> dict:
-        evaluated = _crb_maps(geometry, phis, grid, kinds, separation, noise_variance)
-        return {(id(phi), kind): map_ for phi, row in zip(phis, evaluated) for kind, map_ in zip(kinds, row)}
-
-    token = _SHARED_PASS.set(maps)
-    try:
-        yield
-    finally:
-        _SHARED_PASS.reset(token)
 
 
 def _crb_maps(geometry: ArrayGeometry, phis, grid: ScfGrid, kinds, separation, noise_variance) -> list:

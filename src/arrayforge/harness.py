@@ -31,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .array_model import ArrayGeometry
-from .crb_eval import _MAP_KINDS, CrbMap, _shared_pass, crb_map
+from .crb_eval import _MAP_KINDS, CrbMap, _crb_maps, crb_map
 from .fileio import atomic_write_csv, atomic_write_json, canonical_json, csv_column
 from .scf_objective import CombiningMatrix, ScfGrid, _gap_terms, _steering_gram
 from .sgd_designer import OptimizerConfig, design, random_gaussian_phi
@@ -301,21 +301,27 @@ def run_crb_experiment(
     always included under the label "uncompressed".  Labels name the map
     files, so "uncompressed" and two labels that name the same files raise
     ``ValueError``.  All maps come from one pass over the grid, which
-    evaluates each source direction once for every design and kind.  A
-    map has the statuses of ``crb_map`` of its design and kind, and its
-    values up to round-off.
+    evaluates each source direction once for every design and kind.  The
+    first ``crb_map`` call runs it, and each call, given it as ``_shared``,
+    returns its own map.  A map has the statuses of ``crb_map`` of its
+    design and kind alone, and its values up to round-off.
     """
     _check_labels(phis)
 
     designs = sorted({"uncompressed": None, **phis}.items())
     kinds = sorted(_MAP_KINDS)
+
+    @functools.cache
+    def shared() -> dict:
+        evaluated = _crb_maps(geometry, [phi for _, phi in designs], grid, kinds, separation, noise_variance)
+        return {(id(phi), kind): map_ for (_, phi), row in zip(designs, evaluated) for kind, map_ in zip(kinds, row)}
+
     maps, rows = [], []
-    with _shared_pass(geometry, [phi for _, phi in designs], grid, kinds, separation, noise_variance):
-        for name, phi in designs:
-            for kind in kinds:
-                map_ = crb_map(geometry, phi, grid, kind, separation, noise_variance)
-                maps.append((name, kind, map_))
-                rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
+    for name, phi in designs:
+        for kind in kinds:
+            map_ = crb_map(geometry, phi, grid, kind, separation, noise_variance, _shared=shared)
+            maps.append((name, kind, map_))
+            rows.append({"method": name, "kind": kind, **map_.log10_statistics()})
 
     provenance = _provenance_head(
         geometry,

@@ -250,6 +250,19 @@ class TestValidationErrors:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("design", "sigma2", 5.0), ("evaluate-scf", "rates", [0.3]), ("evaluate-crb", "channels", 2),
+         ("sweep", "method", "gaussian")],
+    )
+    def test_config_key_of_another_command_rejected(self, tmp_path, capsys, command, key, value):
+        # The flag is unrecognized for this command, so the config key is too.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, key: value}))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown keys: {key} (not options of {command})" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_renormalization_period_is_no_longer_an_option(self, tmp_path, capsys, source):
         # The designer renormalizes after every step, so the period that was once an option is unknown.
@@ -298,14 +311,15 @@ class TestValidationErrors:
         ],
     )
     def test_config_values_coerced_strictly(self, tmp_path, capsys, command, values, flag):
+        grid = {"grid_az": 3, "grid_el": 3}
         base = {
             "design": {"channels": 2, "iters": 2, "batch": 3},
-            "evaluate-scf": {},
-            "evaluate-crb": {},
-            "sweep": {"rates": [0.5], "methods": ["gaussian"], "seeds_per_point": 1},
+            "evaluate-scf": grid,
+            "evaluate-crb": grid,
+            "sweep": {**grid, "rates": [0.5], "methods": ["gaussian"], "seeds_per_point": 1},
         }[command]
         cfg = tmp_path / "config.json"
-        common = {"schema_version": 1, "out": str(tmp_path / "o"), "grid_az": 3, "grid_el": 3}
+        common = {"schema_version": 1, "out": str(tmp_path / "o")}
         cfg.write_text(json.dumps({**common, **base, **values}))
         assert main([command, "--config", str(cfg)]) == 2
         assert flag in capsys.readouterr().err

@@ -19,7 +19,7 @@ from arrayforge import (
     run_crb_experiment,
     write_crb_map,
 )
-from arrayforge import array_model, crb_eval
+from arrayforge import array_model, crb_eval, harness
 from oracles import elementwise_steering, numerical_fim_crb, orthogonal_complement_projector, random_unitary
 
 
@@ -451,6 +451,33 @@ class TestCrbMap:
         phis = {"gaussian": random_gaussian_phi(13, 33, 2), "unitary": unitary}
         run_crb_experiment(suca33, phis, ScfGrid(7, 5, (-1.0, 1.0), (0.5, 2.5)), separation=0.4)
         assert checked == [phis["gaussian"], phis["unitary"]]
+
+    def test_experiment_takes_each_map_from_its_own_crb_map_call(self, suca33, monkeypatch):
+        # The benchmark's tracer counts map cells at crb_map and times the pass there.
+        real_maps, real_map, events, calls = crb_eval._crb_maps, crb_eval.crb_map, [], []
+
+        def counting_maps(*args):
+            events.append("pass")
+            return real_maps(*args)
+
+        def counting_map(geometry, phi, grid, kind, *args, **kwargs):
+            events.append("enter")
+            map_ = real_map(geometry, phi, grid, kind, *args, **kwargs)
+            events.append("exit")
+            calls.append((phi, kind, map_))
+            return map_
+
+        monkeypatch.setattr(harness, "_crb_maps", counting_maps)
+        monkeypatch.setattr(harness, "crb_map", counting_map)
+        unitary = CombiningMatrix(random_unitary(33, np.random.default_rng(3))[:20])
+        phis = {"gaussian": random_gaussian_phi(13, 33, 2), "unitary": unitary}
+        report = run_crb_experiment(suca33, phis, ScfGrid(7, 5, (-1.0, 1.0), (0.5, 2.5)), separation=0.4)
+        designs = {"uncompressed": None, **phis}
+        # One pass, inside the first crb_map call; one call per (design, kind), returning that map.
+        assert events == ["enter", "pass", "exit"] + ["enter", "exit"] * (3 * len(designs) - 1)
+        assert len(report.maps) == len(calls) == len({(name, kind) for name, kind, _ in report.maps}) == 9
+        for (name, kind, map_), (phi, called_kind, returned) in zip(report.maps, calls):
+            assert phi is designs[name] and called_kind == kind == map_.kind and returned is map_
 
     def test_compressed_map_runs(self, suca33):
         phi = random_gaussian_phi(13, 33, 9)
